@@ -59,8 +59,13 @@ class TravelTimeDistribution:
             raise ValidationError("one value row per link required")
         if values.shape[2] < 2:
             raise ValidationError("need at least one departure step")
-        if np.any(probabilities <= 0) or abs(probabilities.sum() - 1.0) > PROB_TOL:
+        if not (np.all(np.isfinite(probabilities)) and np.all(probabilities > 0)
+                and abs(probabilities.sum() - 1.0) <= PROB_TOL):
             raise ProbabilityMassError("probabilities must be positive and sum to 1")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValidationError("dt must be positive")
+        if not np.all(np.isfinite(values[:, :, 1:])):
+            raise ValidationError("travel times must be finite")
         if np.any(values[:, :, 1:] < dt - 1e-12):
             raise ValidationError("every travel time must cover at least one step")
         self.values = values

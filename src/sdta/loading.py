@@ -9,7 +9,7 @@ versus the policy decision under the event matched to realized history).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,19 +22,14 @@ from .events import (
     prefix_distances,
 )
 from .choice import SplitSchedule
-from .kernels import (
-    LinkState,
+# The scalar kernels stay the reference the engine is tested against; they
+# are re-exported here so code that looks them up on this module still can.
+from .kernels import (  # noqa: F401
     XI,
-    disaggregate,
     interp,
     link_travel_time,
     receiving_flow,
     sending_flow,
-    transition_destination,
-    transition_diverge,
-    transition_inhomogeneous,
-    transition_merge,
-    transition_origin,
 )
 from .network import Network, NodeKind, classify_node
 from .policy import Policy
@@ -101,191 +96,301 @@ def _prefix_demand(demand: np.ndarray, shares: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Turns:
+    """A network's node models as turns, grouped by node archetype.
+
+    Flows move along turns: origin -> link, link -> link and link ->
+    destination.  A link is fed by one turn (two below a merge) and drains
+    through one (two above a diverge).  Turns are ordered by the rule that
+    moves them: origin, destination and inhomogeneous nodes first (all
+    ``min(supply, receiving)``; the origin is turn 0), then merges (a-sides,
+    then b-sides), then diverges (a-sides, then b-sides).  Index L stands
+    for the origin's demand as a turn source and for the sink as a target.
+    """
+
+    def __init__(self, network: Network):
+        L = len(network.links)
+        index = network.link_index
+        ins = {n: [index[l.id] for l in network.in_links[n]] for n in network.nodes}
+        outs = {n: [index[l.id] for l in network.out_links[n]] for n in network.nodes}
+        simple = [(L, outs[network.origin][0])]          # (source, target)
+        merge_a, merge_b, priority = [], [], []
+        diverge_a, diverge_b, self.diverge_nodes = [], [], []
+        for node in network.nodes:
+            kind = classify_node(network, node)
+            if kind is NodeKind.DESTINATION:
+                simple.append((ins[node][0], L))
+            elif kind is NodeKind.INHOMOGENEOUS:
+                simple.append((ins[node][0], outs[node][0]))
+            elif kind is NodeKind.MERGE:
+                (a, b), (o,) = ins[node], outs[node]
+                merge_a.append((a, o))
+                merge_b.append((b, o))
+                p = network.links[a].merge_priority
+                priority.append(0.5 if p is None else p)
+            elif kind is NodeKind.DIVERGE:
+                (i,), (a, b) = ins[node], outs[node]
+                diverge_a.append((i, a))
+                diverge_b.append((i, b))
+                self.diverge_nodes.append(node)
+        turns = simple + merge_a + merge_b + diverge_a + diverge_b
+        src, dst = (np.array(column, dtype=np.int64) for column in zip(*turns))
+        ns, m, d, M = len(simple), len(merge_a), len(diverge_a), len(turns)
+        swap = lambda n: np.r_[np.arange(n, 2 * n), np.arange(n)]
+
+        self.L, self.M = L, M
+        self.n_nodes = len(network.nodes)
+        self.links = network.links
+        self.dest_in = ins[network.destination][0]
+        self.src = src
+        self.simple = slice(0, ns)
+        self.merge = slice(ns, ns + 2 * m)
+        self.diverge = slice(ns + 2 * m, M)
+        # indices into the flattened (supply | receiving) rows of width L+1
+        self.simple_ends = np.array([src[self.simple], L + 1 + dst[self.simple]])
+        merge_src = src[self.merge]
+        self.merge_ends = np.array([merge_src, merge_src[swap(m)], L + 1 + dst[self.merge]])
+        self.merge_share = np.array(priority + [1.0 - p for p in priority])
+        self.diverge_other = ns + 2 * m + swap(d)
+        self.diverge_receiving = L + 1 + dst[self.diverge]
+        self.diverge_in = [i for i, _ in diverge_a]
+        self.diverge_outs = [(a, b) for (_, a), (_, b) in zip(diverge_a, diverge_b)]
+        self.diverge_of_turn = np.r_[np.arange(d), np.arange(d)]
+        self.diverge_slot = np.r_[np.zeros(d, np.int64), np.ones(d, np.int64)][:, None]
+        # feed[first | second, side, link]: turns into a link's upstream end
+        # (side 0) and out of its downstream end (side 1).  M names the
+        # all-zero row of the turn-flow table.
+        feed = np.full((2, 2, L), M, dtype=np.int64)
+        for turn, (s, o) in enumerate(turns):
+            for side, link in ((0, o), (1, s)):
+                if link < L:
+                    feed[int(feed[0, side, link] != M), side, link] = turn
+        self.feed = feed
+
+    def path_routes(self, paths: Sequence[Sequence[str]], network: Network) -> np.ndarray:
+        """Route table (path, diverge) -> out-link slot of each path's next
+        link at that diverge, or -1 where the path does not pass."""
+        index = network.link_index
+        route = np.full((len(paths), len(self.diverge_in)), -1, dtype=np.int64)
+        for k, path in enumerate(paths):
+            successor = {index[a]: index[b] for a, b in zip(path, path[1:])}
+            for d, (in_link, outs) in enumerate(zip(self.diverge_in, self.diverge_outs)):
+                if successor.get(in_link) in outs:
+                    route[k, d] = outs.index(successor[in_link])
+        return route
+
+
 class _Engine:
-    """Single-realization step engine over the five node archetypes."""
+    """Array-backed LTM step engine for one realization.
+
+    Every cumulative count lives in ``curves[side, link, row, step]``: side 0
+    is a link's upstream end and side 1 its downstream end, row 0 the
+    aggregate and rows 1..K the commodities.  ``up``/``down`` are the
+    aggregate (L, T+1) views and ``up_by``/``down_by`` the (L, K, T+1)
+    commodity views.  A step computes one flow per turn (see ``_Turns``),
+    each archetype group with a fixed number of array operations, and adds
+    at most two turns into every curve.  Step t reads samples up to t-1
+    only, so the order of nodes never matters.
+    """
 
     def __init__(
         self,
-        network: Network,
+        turns: _Turns,
         capacity: dict[str, np.ndarray],
         dt: float,
         horizon_steps: int,
-        commodities: Sequence,
-        links_by_commodity: dict | None,
+        n_commodities: int,
         strict_origin: bool,
     ):
-        self.network = network
-        self.dt = dt
-        self.T = horizon_steps
+        L, M, K, T = turns.L, turns.M, n_commodities, horizon_steps
+        self.turns = turns
+        self.L, self.K, self.T, self.dt = L, K, T, dt
         self.strict_origin = strict_origin
-        self.commodities = list(commodities)
-        self.states: dict[str, LinkState] = {}
-        for link in network.links:
-            state = LinkState(link, capacity[link.id], dt)
-            for key in self.commodities:
-                if links_by_commodity is None or link.id in links_by_commodity[key]:
-                    state.add_commodity(key)
-            self.states[link.id] = state
-        self.kinds = {n: classify_node(network, n) for n in network.nodes}
-        self.released_total = 0.0
-        self.released_by = {key: 0.0 for key in self.commodities}
-        self.backlog = np.zeros(horizon_steps + 1)
-        self.vehicles = np.zeros(horizon_steps + 1)
-        self.dest_in = network.in_links[network.destination][0].id
+        self.curves = np.zeros((2, L, K + 1, T + 1))
+        self.up, self.down = self.curves[0, :, 0], self.curves[1, :, 0]
+        self.up_by, self.down_by = self.curves[0, :, 1:], self.curves[1, :, 1:]
+        self.released_by = np.zeros(K)
+        self.origin_flow = np.zeros(T + 1)    # aggregate release per step
+        links = turns.links
+        self.free_time = np.maximum([l.free_flow_time for l in links], dt)
+        self.slack = np.zeros((2, L))         # added to the (sending | receiving) lookbacks
+        self.slack[1] = [l.storage for l in links]
+        steps = np.arange(T + 1)
+        self.capacity = np.stack(
+            [capacity[l.id][np.minimum(steps, capacity[l.id].size - 1)] for l in links],
+            axis=1,
+        )  # (T+1, L)
+        self._lookback_tables()
+        self._flow = np.zeros((2, L + 1))     # sending | receiving, column L: origin | sink
+        self._flow[1, L] = np.inf
+        self._weights = np.zeros((L + 1, K))  # row L: origin demand
+        self._turn_flows = np.zeros((M + 1, K + 1))
+        self._mask = np.ones((M - turns.diverge.start, K))
 
-    def commodity_gaps(self, state: LinkState, t: int) -> dict:
-        """Per-commodity upstream-downstream gap at the sending horizon."""
-        query = (t + 1) * self.dt - state.spec.free_flow_time
-        gaps = {}
-        for key, up in state.up_by.items():
-            gap = interp(up, query) - state.down_by[key].value_at(t - 1)
-            if gap > 0.0:
-                gaps[key] = gap
-        return gaps
+    def _lookback_tables(self) -> None:
+        """Flat curve indices and weights of the step-t lookbacks.
+
+        Sending reads the upstream curves at (t+1)dt - L/vf, receiving the
+        aggregate downstream curve at (t+1)dt - L/w, interpolated as
+        ``interp`` does: clamped at the last recorded sample t-1, and 0 at
+        or before time 0.  Reads are ordered aggregate up, aggregate down,
+        then commodity up by (link, commodity).
+        """
+        L, K, T1, dt = self.L, self.K, self.T + 1, self.dt
+        steps = np.arange(T1)
+        last = np.maximum(steps - 1, 0)[:, None]
+
+        def table(lag):
+            q = ((steps + 1) * dt)[:, None] - lag[None, :]
+            x = q / dt
+            lo = x.astype(np.int64)
+            inside = (q > 0.0) & (lo < last)
+            frac = np.where(inside, x - lo, 0.0)
+            lo = np.where(inside, lo, np.where(q > 0.0, last, 0))
+            return lo, frac
+
+        links = self.turns.links
+        lo_f, frac_f = table(np.array([l.free_flow_time for l in links]))
+        lo_w, frac_w = table(np.array([l.backward_wave_time for l in links]))
+        row = np.arange(L) * (K + 1) * T1                     # curve (side 0, link, row 0)
+        commodity = (row[:, None] + np.arange(1, K + 1) * T1).ravel()
+        lo = np.concatenate([
+            lo_f + row,
+            lo_w + row + L * (K + 1) * T1,
+            np.repeat(lo_f, K, axis=1) + commodity,
+        ], axis=1)
+        self.look = np.stack([lo, lo + 1], axis=1)            # (T+1, 2, (K+2)L)
+        self.look_frac = np.concatenate([frac_f, frac_w, np.repeat(frac_f, K, axis=1)], axis=1)
+        self.flat = self.curves.reshape(-1)
+
+    def boundary_flows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sending (row 0) and receiving (row 1) flow per link at step t,
+        and the per-commodity gap (L, K) between the upstream lookback and
+        the downstream count."""
+        L = self.L
+        prev = self.curves[:, :, :, t - 1]
+        a, b = self.flat.take(self.look[t])
+        ahead = a + self.look_frac[t] * (b - a)
+        gap = ahead[: 2 * L].reshape(2, L) + self.slack - prev[::-1, :, 0]
+        flows = np.maximum(0.0, np.minimum(gap, self.capacity[t]), out=self._flow[:, :L])
+        return flows, ahead[2 * L:].reshape(L, self.K) - prev[1, :, 1:]
+
+    def set_route(self, route: np.ndarray) -> None:
+        """Route table (K, diverges): each commodity's out-link slot (0 or 1)
+        at each diverge, or -1 for no decision; holds until the next call."""
+        tu = self.turns
+        self._mask = (route.T[tu.diverge_of_turn] == tu.diverge_slot) * 1.0
 
     def step(
         self,
         t: int,
-        cum_demand: np.ndarray,      # (K, T+1) aligned with self.commodities
-        route: Callable,             # (key, node, in_link_id) -> out link id or None
+        cum_demand: np.ndarray,   # (K, T+1)
         stats: LoaderStats | None = None,
     ) -> None:
-        inc_up: dict[str, float] = {}
-        inc_down: dict[str, float] = {}
-        inc_up_by: dict[str, dict] = {l: {} for l in self.states}
-        inc_down_by: dict[str, dict] = {l: {} for l in self.states}
+        tu, L = self.turns, self.L
+        flows, gaps = self.boundary_flows(t)
+        weights = self._weights
+        np.maximum(gaps, 0.0, out=weights[:L])
+        if self.strict_origin:
+            avail = cum_demand[:, t] - cum_demand[:, t - 1]
+        else:
+            avail = cum_demand[:, t] - self.released_by
+        np.maximum(avail, 0.0, out=weights[L])
 
-        for node in self.network.nodes:
-            kind = self.kinds[node]
-            if stats is not None:
-                stats.node_updates += 1
-            if kind is NodeKind.ORIGIN:
-                out_id = self.network.out_links[node][0].id
-                out_state = self.states[out_id]
-                receiving = receiving_flow(out_state, t)
-                avail = []
-                for k_idx, key in enumerate(self.commodities):
-                    if self.strict_origin:
-                        a = cum_demand[k_idx, t] - cum_demand[k_idx, t - 1]
-                    else:
-                        a = cum_demand[k_idx, t] - self.released_by[key]
-                    avail.append(max(0.0, a))
-                total = sum(avail)
-                g = transition_origin(total, receiving)
-                flows = disaggregate(g, avail)
-                inc_up[out_id] = inc_up.get(out_id, 0.0) + g
-                self.released_total += g
-                for key, f in zip(self.commodities, flows):
-                    if f > 0.0 and key in out_state.up_by:
-                        inc_up_by[out_id][key] = inc_up_by[out_id].get(key, 0.0) + f
-                    self.released_by[key] += f
-            elif kind is NodeKind.DESTINATION:
-                in_id = self.network.in_links[node][0].id
-                in_state = self.states[in_id]
-                g = transition_destination(sending_flow(in_state, t))
-                gaps = self.commodity_gaps(in_state, t)
-                flows = disaggregate(g, list(gaps.values()))
-                inc_down[in_id] = inc_down.get(in_id, 0.0) + g
-                for key, f in zip(gaps, flows):
-                    inc_down_by[in_id][key] = inc_down_by[in_id].get(key, 0.0) + f
-            elif kind is NodeKind.INHOMOGENEOUS:
-                in_id = self.network.in_links[node][0].id
-                out_id = self.network.out_links[node][0].id
-                in_state, out_state = self.states[in_id], self.states[out_id]
-                g = transition_inhomogeneous(
-                    sending_flow(in_state, t), receiving_flow(out_state, t)
-                )
-                gaps = self.commodity_gaps(in_state, t)
-                flows = disaggregate(g, list(gaps.values()))
-                inc_down[in_id] = inc_down.get(in_id, 0.0) + g
-                inc_up[out_id] = inc_up.get(out_id, 0.0) + g
-                for key, f in zip(gaps, flows):
-                    inc_down_by[in_id][key] = inc_down_by[in_id].get(key, 0.0) + f
-                    if key in out_state.up_by:
-                        inc_up_by[out_id][key] = inc_up_by[out_id].get(key, 0.0) + f
-            elif kind is NodeKind.MERGE:
-                in_a, in_b = self.network.in_links[node]
-                out_id = self.network.out_links[node][0].id
-                out_state = self.states[out_id]
-                receiving = receiving_flow(out_state, t)
-                p_a = in_a.merge_priority if in_a.merge_priority is not None else 0.5
-                g_a, g_b = transition_merge(
-                    sending_flow(self.states[in_a.id], t),
-                    sending_flow(self.states[in_b.id], t),
-                    receiving,
-                    p_a,
-                )
-                for in_link, g in ((in_a, g_a), (in_b, g_b)):
-                    in_state = self.states[in_link.id]
-                    gaps = self.commodity_gaps(in_state, t)
-                    flows = disaggregate(g, list(gaps.values()))
-                    inc_down[in_link.id] = inc_down.get(in_link.id, 0.0) + g
-                    inc_up[out_id] = inc_up.get(out_id, 0.0) + g
-                    for key, f in zip(gaps, flows):
-                        inc_down_by[in_link.id][key] = (
-                            inc_down_by[in_link.id].get(key, 0.0) + f
-                        )
-                        if key in out_state.up_by:
-                            inc_up_by[out_id][key] = inc_up_by[out_id].get(key, 0.0) + f
-            elif kind is NodeKind.DIVERGE:
-                in_id = self.network.in_links[node][0].id
-                in_state = self.states[in_id]
-                out_a, out_b = self.network.out_links[node]
-                gaps = self.commodity_gaps(in_state, t)
-                routed: dict[str, dict] = {out_a.id: {}, out_b.id: {}}
-                for key, gap in gaps.items():
-                    target = route(key, node, in_id)
-                    if target in routed:
-                        routed[target][key] = gap
-                s_a = sum(routed[out_a.id].values())
-                s_b = sum(routed[out_b.id].values())
-                g_a, g_b = transition_diverge(
-                    s_a,
-                    s_b,
-                    receiving_flow(self.states[out_a.id], t),
-                    receiving_flow(self.states[out_b.id], t),
-                )
-                inc_down[in_id] = inc_down.get(in_id, 0.0) + g_a + g_b
-                for out_link, g, side in ((out_a, g_a, out_a.id), (out_b, g_b, out_b.id)):
-                    inc_up[out_link.id] = inc_up.get(out_link.id, 0.0) + g
-                    out_state = self.states[out_link.id]
-                    side_gaps = routed[side]
-                    denom = sum(side_gaps.values()) + XI
-                    for key, gap in side_gaps.items():
-                        f = g * gap / denom
-                        inc_down_by[in_id][key] = inc_down_by[in_id].get(key, 0.0) + f
-                        if key in out_state.up_by:
-                            inc_up_by[out_link.id][key] = (
-                                inc_up_by[out_link.id].get(key, 0.0) + f
-                            )
+        w = weights.take(tu.src, axis=0)
+        w[tu.diverge] *= self._mask
+        total = np.cumsum(w, axis=1)[:, -1]   # in commodity order, as `sum`
+        self._flow[0, L] = total[0]
 
-        # apply the step: one new sample per curve
-        for link_id, state in self.states.items():
-            state.up.append(state.up.last + inc_up.get(link_id, 0.0))
-            state.down.append(state.down.last + inc_down.get(link_id, 0.0))
-            for key in state.up_by:
-                state.up_by[key].append(
-                    state.up_by[key].last + inc_up_by[link_id].get(key, 0.0)
-                )
-                state.down_by[key].append(
-                    state.down_by[key].last + inc_down_by[link_id].get(key, 0.0)
-                )
-        total_demand = float(cum_demand[:, t].sum())
-        self.backlog[t] = max(0.0, total_demand - self.released_total)
-        self.vehicles[t] = sum(s.up.last - s.down.last for s in self.states.values())
+        g = np.empty(tu.M)
+        ends = self._flow.reshape(-1)
+        sup, rec = ends.take(tu.simple_ends)
+        np.minimum(sup, rec, out=g[tu.simple])
+        if tu.merge.stop > tu.merge.start:
+            own, other, rec = ends.take(tu.merge_ends)
+            leftover = rec - other
+            median = np.maximum(
+                np.minimum(own, leftover),
+                np.minimum(np.maximum(own, leftover), tu.merge_share * rec),
+            )
+            g[tu.merge] = np.where(own + other <= rec, own, median)
+        if tu.diverge.stop > tu.diverge.start:
+            own = total[tu.diverge]
+            other = total.take(tu.diverge_other)
+            rec = ends.take(tu.diverge_receiving)
+            ratio = np.where(other > 0.0, rec * own / other, np.inf)
+            g[tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
-    def travel_time_column(self, t: int) -> list[float]:
-        return [link_travel_time(self.states[l.id], t) for l in self.network.links]
+        table = self._turn_flows
+        table[:-1, 0] = g
+        np.divide(g[:, None] * w, (total + XI)[:, None], out=table[:-1, 1:])
+        self.origin_flow[t] = g[0]
+        self.released_by += table[0, 1:]
+        np.add(self.curves[:, :, :, t - 1],
+               table.take(tu.feed[0], axis=0) + table.take(tu.feed[1], axis=0),
+               out=self.curves[:, :, :, t])
+        if stats is not None:
+            stats.node_updates += tu.n_nodes
 
-    def result(self, travel_times: np.ndarray, demand_total: float) -> LoadResult:
+    def travel_time_column(self, t: int) -> np.ndarray:
+        """Travel time of the vehicle leaving each link at step t, matched
+        on the curves as recorded up to step t."""
+        exits = self.down[:, t]
+        j = np.add.reduce(self.up[:, : t + 1] < exits[:, None], axis=1, dtype=np.int64)
+        return _matched_times(self.up, exits, j, t, t, self.dt, self.free_time)
+
+    def travel_times(self) -> np.ndarray:
+        """Every travel time column at once, matched on the finished curves;
+        (L, T+1) with column 0 mirroring column 1."""
+        exits = self.down[:, 1:]
+        j = np.stack([np.searchsorted(u, e) for u, e in zip(self.up, exits)])
+        out = np.empty((self.L, self.T + 1))
+        out[:, 1:] = _matched_times(
+            self.up, exits, j, np.arange(1, self.T + 1), self.T, self.dt,
+            self.free_time[:, None],
+        )
+        out[:, 0] = out[:, 1]
+        return out
+
+    def check_monotone(self) -> None:
+        if np.any(np.diff(self.curves, axis=-1) < -1e-9):
+            raise ValidationError("cumulative counts cannot decrease")
+
+    def result(self, travel_times: np.ndarray, cum_demand: np.ndarray) -> LoadResult:
+        released = np.cumsum(self.origin_flow)
+        # per-step totals summed exactly as `cum_demand[:, t].sum()`
+        demand = np.ascontiguousarray(cum_demand.T).sum(axis=1)
+        backlog = np.maximum(0.0, demand - released)
+        backlog[0] = 0.0
         return LoadResult(
             travel_times=travel_times,
-            origin_backlog=self.backlog.copy(),
-            vehicles_in_network=self.vehicles.copy(),
-            released=self.released_total,
-            exited=self.states[self.dest_in].down.last,
-            demand_total=demand_total,
+            origin_backlog=backlog,
+            vehicles_in_network=np.cumsum(self.up - self.down, axis=0)[-1],
+            released=float(released[-1]),
+            exited=float(self.down[self.turns.dest_in, -1]),
+            demand_total=float(demand[-1]),
         )
+
+
+def _matched_times(up, exits, j, t, last, dt, fallback):
+    """Vectorised ``link_travel_time`` by count matching.
+
+    ``exits`` are downstream counts at steps ``t`` (broadcast over links),
+    ``last`` the last upstream sample recorded, and ``j`` the first
+    upstream sample at or above each count (``last + 1`` when none is).
+    Entry time interpolates between samples j-1 and j, which lands exactly
+    on sample j's time when it hits the count.  A count a rounding error
+    above the last entry (j = last + 1) enters at or after ``last``, so its
+    time floors at one step as in ``inverse``.  No exits, or exits further
+    above the recorded entries, fall back to free flow.
+    """
+    rows = np.arange(up.shape[0]).reshape((-1,) + (1,) * (np.ndim(exits) - 1))
+    j = np.minimum(j, last)
+    lo, hi = up[rows, j - 1], up[rows, j]
+    entry = (j - 1 + (exits - lo) / (hi - lo)) * dt
+    travel = np.maximum(t * dt - entry, dt)
+    reached = (exits > 0.0) & (exits <= up[rows, last] + 1e-12)
+    return np.where(reached, travel, fallback)
 
 
 def path_ltm(
@@ -301,32 +406,20 @@ def path_ltm(
     """Load fixed paths through one realization's demand and capacity."""
     pathset.validate_against(network)
     T = demand.size - 1
-    commodities = list(range(len(pathset.paths)))
-    links_by_commodity = {p: set(path) for p, path in enumerate(pathset.paths)}
-    successors: list[dict[str, str]] = []
-    for path in pathset.paths:
-        table = {}
-        for a, b in zip(path, path[1:]):
-            table[a] = b
-        successors.append(table)
-
-    engine = _Engine(network, capacity, dt, T,
-                     commodities, links_by_commodity, strict_origin)
+    K = len(pathset.paths)
+    turns = _Turns(network)
+    engine = _Engine(turns, capacity, dt, T, K, strict_origin)
     cum = _prefix_demand(demand, pathset.mu)
-
-    def route(key, node, in_link_id):
-        return successors[key].get(in_link_id)
 
     if stats is not None:
         stats.time_loops += 1
-    for t in range(1, T + 1):
-        engine.step(t, cum, route, stats)
-
-    travel = np.empty((len(network.links), T + 1))
-    for t in range(1, T + 1):
-        travel[:, t] = engine.travel_time_column(t)
-    travel[:, 0] = travel[:, 1]
-    return engine.result(travel, float(cum[:, T].sum()))
+    engine.set_route(turns.path_routes(pathset.paths, network))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            engine.step(t, cum, stats)
+        travel = engine.travel_times()
+    engine.check_monotone()
+    return engine.result(travel, cum)
 
 
 def translate(
@@ -492,58 +585,58 @@ def po_ltm(
 
     Policies are the commodities.  At every step the realized travel times
     written so far pick each policy's event (incrementally accumulated
-    absolute-difference metric), which fixes the diverge decisions for that
-    step; after moving flows the step's travel times are appended to the
-    realized history.  ``diagnostics`` (a list, if given) receives one
+    absolute-difference metric), whose decisions at the diverges form that
+    step's route table; after moving flows the step's travel times are
+    appended to the realized history.  ``diagnostics`` (a list, if given) receives one
     LoadResult per realization for conservation checks.
     """
     T = scenario.horizon_steps
-    commodities = list(range(len(policies)))
+    K = len(policies)
+    turns = _Turns(network)
+    shares = np.vstack([splits.row(p.label) for p in policies])
+    defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
+    # per policy: the rows of the diverge nodes in its decision tables, and
+    # a (diverge, defining link) -> out-link slot table whose last column
+    # answers the "no decision" index -1
+    rows, slots = [], []
+    diverge = np.arange(len(turns.diverge_nodes))
+    for policy in policies:
+        rows.append(np.array([policy.node_index[n] for n in turns.diverge_nodes], dtype=np.int64))
+        ids = [l.id for l in policy.defining_ttd.links]
+        table = np.full((diverge.size, len(ids) + 1), -1, dtype=np.int64)
+        for d, outs in enumerate(turns.diverge_outs):
+            for slot, link in enumerate(outs):
+                table[d, ids.index(network.links[link].id)] = slot
+        slots.append(table)
     out = np.empty((scenario.n_realizations, len(network.links), T + 1))
-    n_def = policies[0].defining_ttd.n_realizations
-    link_count = len(network.links)
 
     for r, real in enumerate(scenario.realizations):
-        engine = _Engine(
-            network, real.capacity, scenario.dt, T, commodities, None, strict_origin
-        )
-        shares = np.vstack([splits.row(p.label) for p in policies])
+        engine = _Engine(turns, real.capacity, scenario.dt, T, K, strict_origin)
         cum = _prefix_demand(real.demand, shares)
-        info = np.zeros((link_count, T + 1))
-        running = [np.zeros(n_def) for _ in policies]
-        choice_maps: list[dict] = [{} for _ in policies]
+        info = np.zeros((len(network.links), T + 1))
+        running = np.zeros(defining.shape[:2])
+        route = np.empty((K, diverge.size), dtype=np.int64)
 
         if stats is not None:
             stats.time_loops += 1
-        for t in range(1, T + 1):
-            if t >= 2:
-                col = info[:, t - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(1, T + 1):
+                if t >= 2:
+                    running += np.abs(defining[..., t - 1] - info[:, t - 1]).sum(axis=2)
                 for w, policy in enumerate(policies):
-                    diff = np.abs(
-                        policy.defining_ttd.values[:, :, t - 1] - col[np.newaxis, :]
-                    ).sum(axis=1)
-                    running[w] += diff
-            for w, policy in enumerate(policies):
-                tree = policy.tree
-                level = tree.events_at(t)
-                event = level[0] if len(level) == 1 else pick_nearest(level, running[w])
-                e_idx = tree.member[t, event.support[0]]
-                table = {}
-                for node, j in policy.node_index.items():
-                    li = int(policy.choice_levels[t][j, e_idx])
-                    if li >= 0:
-                        table[node] = policy.defining_ttd.links[li].id
-                choice_maps[w] = table
-
-            def route(key, node, in_link_id):
-                return choice_maps[key].get(node)
-
-            engine.step(t, cum, route, stats)
-            info[:, t] = engine.travel_time_column(t)
+                    tree = policy.tree
+                    level = tree.events_at(t)
+                    event = level[0] if len(level) == 1 else pick_nearest(level, running[w])
+                    e_idx = tree.member[t, event.support[0]]
+                    route[w] = slots[w][diverge, policy.choice_levels[t][rows[w], e_idx]]
+                engine.set_route(route)
+                engine.step(t, cum, stats)
+                info[:, t] = engine.travel_time_column(t)
+        engine.check_monotone()
         info[:, 0] = info[:, 1]
         out[r] = info
         if diagnostics is not None:
-            diagnostics.append(engine.result(info, float(cum[:, T].sum())))
+            diagnostics.append(engine.result(info, cum))
     return TravelTimeDistribution(
         out, scenario.dt, scenario.probabilities, links_of(network),
         network.origin, network.destination,

@@ -32,11 +32,15 @@ class Realization:
     capacity: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.probability <= 0:
+        if not (np.isfinite(self.probability) and self.probability > 0):
             raise ProbabilityMassError("realization probability must be positive")
+        if not np.all(np.isfinite(self.demand)):
+            raise ValidationError("demand must be finite")
         if np.any(self.demand < 0):
             raise ValidationError("demand must be non-negative")
         for link_id, series in self.capacity.items():
+            if not np.all(np.isfinite(series)):
+                raise ValidationError(f"capacity of link {link_id} must be finite")
             if np.any(series <= 0):
                 raise ValidationError(f"capacity of link {link_id} must stay positive")
 
@@ -51,7 +55,7 @@ class Scenario:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("dt must be positive")
         if self.horizon_steps < 1:
             raise ValidationError("horizon must cover at least one step")
@@ -139,7 +143,7 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
         raw = document["realizations"]
     except KeyError as err:
         raise ParseError(f"missing required field {err}") from None
-    if dt <= 0 or steps < 1:
+    if not (np.isfinite(dt) and dt > 0) or steps < 1:
         raise ValidationError("dt must be positive and steps at least 1")
 
     warnings: list[str] = []

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
+from sdta import fixture_path
 from sdta.cli import main
 
 
@@ -144,3 +146,43 @@ def test_sweep_over_perturbation_factors(tmp_path):
 
 def test_unknown_fixture_name_is_exit_2():
     assert run("validate", "not-a-fixture") == 2
+
+
+# Non-finite input must stop at parsing with a validation error (exit 3),
+# not turn into a "converged" solve or an internal error.
+
+SCENARIO_TEMPLATE = """\
+dt_s: 1.0
+steps: 30
+realizations:
+  - prob: 1.0
+    demand: {demand}
+    capacity: {capacity}
+"""
+
+
+def test_nan_demand_is_exit_3(tmp_path, capsys):
+    scn = tmp_path / "nan-demand.yaml"
+    scn.write_text(SCENARIO_TEMPLATE.format(demand="{constant: .nan}", capacity="{}"))
+    code = run("solve", "twolinks", str(scn), "--iters", "2", "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "demand must be finite" in capsys.readouterr().err
+
+
+def test_infinite_capacity_is_exit_3(tmp_path, capsys):
+    scn = tmp_path / "inf-capacity.yaml"
+    scn.write_text(SCENARIO_TEMPLATE.format(
+        demand="{constant: 3600}", capacity='{"2-3": {constant: .inf}}'
+    ))
+    code = run("solve", "twolinks", str(scn), "--iters", "2", "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "capacity of link 2-3 must be finite" in capsys.readouterr().err
+
+
+def test_nan_travel_time_is_exit_3(tmp_path, capsys):
+    doc = yaml.safe_load(Path(fixture_path("parallel3.ttd.yaml")).read_text())
+    doc["realizations"][1]["times"]["c"][2] = float("nan")
+    ttd = tmp_path / "nan.ttd.yaml"
+    ttd.write_text(yaml.safe_dump(doc))
+    assert run("policies", str(ttd), "--out", str(tmp_path / "out")) == 3
+    assert "travel times must be finite" in capsys.readouterr().err

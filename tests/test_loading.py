@@ -120,18 +120,20 @@ def test_loader_iteration_counters(twolinks):
     net, _ = twolinks
     scn = load_scenario("twolinks", net, steps=120)
     policies, splits = policies_and_splits(net, scn)
-    R = scn.n_realizations
+    R, T, N = scn.n_realizations, scn.horizon_steps, len(net.nodes)
 
+    # one node update per node and step of every time loop
     stats = LoaderStats()
     po_ltm(net, policies, splits, scn, stats=stats)
     assert stats.time_loops == R
-    assert stats.node_updates > 0
+    assert stats.node_updates == R * T * N
 
     k_inner = 4
     stats = LoaderStats()
     iterative_loading(net, policies, splits, scn, k_inner=k_inner, stats=stats)
     assert stats.time_loops == R * k_inner
     assert stats.translations == R * (k_inner + 1)
+    assert stats.node_updates == R * k_inner * T * N
 
 
 def test_loading_is_deterministic(twolinks):
