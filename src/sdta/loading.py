@@ -233,8 +233,10 @@ class _Engine:
         Sending reads the upstream curves at (t+1)dt - L/vf, receiving the
         aggregate downstream curve at (t+1)dt - L/w, interpolated as
         ``interp`` does: clamped at the last recorded sample t-1, and 0 at
-        or before time 0.  Reads are ordered aggregate up, aggregate down,
-        then commodity up by (link, commodity).
+        or before time 0.  ``look[t]`` holds each link's aggregate upstream
+        then downstream sample index; the reads of a step are, in order,
+        aggregate up, aggregate down and commodity up by (link, commodity),
+        and ``read_link``/``read_offset`` map them onto ``look``.
         """
         L, K, T1, dt = self.L, self.K, self.T + 1, self.dt
         steps = np.arange(T1)
@@ -252,15 +254,11 @@ class _Engine:
         links = self.turns.links
         lo_f, frac_f = table(np.array([l.free_flow_time for l in links]))
         lo_w, frac_w = table(np.array([l.backward_wave_time for l in links]))
-        row = np.arange(L) * (K + 1) * T1                     # curve (side 0, link, row 0)
-        commodity = (row[:, None] + np.arange(1, K + 1) * T1).ravel()
-        lo = np.concatenate([
-            lo_f + row,
-            lo_w + row + L * (K + 1) * T1,
-            np.repeat(lo_f, K, axis=1) + commodity,
-        ], axis=1)
-        self.look = np.stack([lo, lo + 1], axis=1)            # (T+1, 2, (K+2)L)
-        self.look_frac = np.concatenate([frac_f, frac_w, np.repeat(frac_f, K, axis=1)], axis=1)
+        row = np.arange(L) * (K + 1) * T1          # curve (side 0, link, row 0)
+        self.look = np.hstack([lo_f + row, lo_w + row + L * (K + 1) * T1])
+        self.look_frac = np.hstack([frac_f, frac_w])
+        self.read_link = np.r_[np.arange(2 * L), np.repeat(np.arange(L), K)]
+        self.read_offset = np.r_[np.zeros(2 * L, np.int64), np.tile(np.arange(1, K + 1) * T1, L)]
         self.flat = self.curves.reshape(-1)
 
     def boundary_flows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +267,9 @@ class _Engine:
         the downstream count."""
         L = self.L
         prev = self.curves[:, :, :, t - 1]
-        a, b = self.flat.take(self.look[t])
-        ahead = a + self.look_frac[t] * (b - a)
+        at = self.look[t].take(self.read_link) + self.read_offset
+        a, b = self.flat.take(at), self.flat.take(at + 1)
+        ahead = a + self.look_frac[t].take(self.read_link) * (b - a)
         gap = ahead[: 2 * L].reshape(2, L) + self.slack - prev[::-1, :, 0]
         flows = np.maximum(0.0, np.minimum(gap, self.capacity[t]), out=self._flow[:, :L])
         return flows, ahead[2 * L:].reshape(L, self.K) - prev[1, :, 1:]
@@ -297,16 +296,20 @@ class _Engine:
             avail = cum_demand[:, t] - self.released_by
         np.maximum(avail, 0.0, out=weights[L])
 
+        # commodity weights per turn: the source's gaps (the origin's
+        # demand), kept at a diverge only for commodities routed that way
         w = weights.take(tu.src, axis=0)
         w[tu.diverge] *= self._mask
         total = np.cumsum(w, axis=1)[:, -1]   # in commodity order, as `sum`
         self._flow[0, L] = total[0]
 
-        g = np.empty(tu.M)
+        g = np.empty(tu.M)                    # aggregate flow per turn
         ends = self._flow.reshape(-1)
         sup, rec = ends.take(tu.simple_ends)
         np.minimum(sup, rec, out=g[tu.simple])
         if tu.merge.stop > tu.merge.start:
+            # Daganzo: everything when it fits, else median(claim, leftover,
+            # priority share), as `transition_merge`
             own, other, rec = ends.take(tu.merge_ends)
             leftover = rec - other
             median = np.maximum(
@@ -315,12 +318,15 @@ class _Engine:
             )
             g[tu.merge] = np.where(own + other <= rec, own, median)
         if tu.diverge.stop > tu.diverge.start:
+            # routed gaps throttled by the other branch, as `transition_diverge`
             own = total[tu.diverge]
             other = total.take(tu.diverge_other)
             rec = ends.take(tu.diverge_receiving)
             ratio = np.where(other > 0.0, rec * own / other, np.inf)
             g[tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
+        # turn flows: aggregate, then split over commodities by weight as
+        # `disaggregate`; each curve adds its (at most two) turns
         table = self._turn_flows
         table[:-1, 0] = g
         np.divide(g[:, None] * w, (total + XI)[:, None], out=table[:-1, 1:])
@@ -353,6 +359,8 @@ class _Engine:
         return out
 
     def check_monotone(self) -> None:
+        """Node rules never move a negative flow; a decreasing curve means
+        the state is corrupt."""
         if np.any(np.diff(self.curves, axis=-1) < -1e-9):
             raise ValidationError("cumulative counts cannot decrease")
 
