@@ -4,6 +4,10 @@ Counts live on the step grid.  Sending and receiving flows for step t read
 only samples up to t-1 (two-phase node updates keep results independent of
 node processing order), while queries between grid points interpolate
 linearly.
+
+These are the scalar, one-link statement of the model.  The loaders run
+the array engine in ``loading``, which computes the same values for every
+link at once; ``tests/test_engine.py`` checks that the two agree exactly.
 """
 
 from __future__ import annotations

@@ -136,7 +136,9 @@ class _Turns:
         turns = simple + merge_a + merge_b + diverge_a + diverge_b
         src, dst = (np.array(column, dtype=np.int64) for column in zip(*turns))
         ns, m, d, M = len(simple), len(merge_a), len(diverge_a), len(turns)
-        swap = lambda n: np.r_[np.arange(n, 2 * n), np.arange(n)]
+
+        def swap(n):   # a-side <-> b-side positions within a group of 2n turns
+            return np.r_[np.arange(n, 2 * n), np.arange(n)]
 
         self.L, self.M = L, M
         self.n_nodes = len(network.nodes)
@@ -225,7 +227,7 @@ class _Engine:
         self._flow[1, L] = np.inf
         self._weights = np.zeros((L + 1, K))  # row L: origin demand
         self._turn_flows = np.zeros((M + 1, K + 1))
-        self._mask = np.ones((M - turns.diverge.start, K))
+        self._mask = np.zeros((M - turns.diverge.start, K))   # see set_route
 
     def _lookback_tables(self) -> None:
         """Flat curve indices and weights of the step-t lookbacks.
