@@ -93,9 +93,7 @@ class EquilibriumResult:
         return self.trace[-1].delta if self.trace else math.nan
 
 
-def convergence_metric(
-    eta_l: SplitSchedule, eta_prev: SplitSchedule, relative: bool = False
-) -> float:
+def convergence_metric(eta_l: SplitSchedule, eta_prev: SplitSchedule) -> float:
     """Largest split change between two schedules, matched by policy label."""
     if eta_l.eta.shape != eta_prev.eta.shape:
         raise ValidationError("split schedules have different shapes")
@@ -105,10 +103,7 @@ def convergence_metric(
     for label in eta_l.labels:
         new = eta_l.row(label)[1:]
         old = eta_prev.row(label)[1:]
-        diff = np.abs(new - old)
-        if relative:
-            diff = diff / np.maximum(np.abs(old), 1e-12)
-        worst = max(worst, float(diff.max()))
+        worst = max(worst, float(np.abs(new - old).max()))
     return worst
 
 

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ParseError, ProbabilityMassError, ValidationError
 from .network import Network, NodeId
-from .scenario import PROB_TOL, Scenario
+from .scenario import PROB_TOL, Scenario, parse_array, parse_number
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,10 @@ def prefix_distances(defining_values: np.ndarray, info: np.ndarray) -> np.ndarra
 
 def pick_nearest(level: Sequence[Event], distances: np.ndarray) -> Event:
     """Event minimizing the support-summed distance; ties break on the
-    lowest contained realization index."""
+    lowest contained realization index.
+
+    The scalar reference for ``nearest_events``, which the program uses.
+    """
     best = None
     best_key = None
     for event in level:
@@ -249,6 +252,48 @@ def pick_nearest(level: Sequence[Event], distances: np.ndarray) -> Event:
         if best_key is None or key < best_key:
             best, best_key = event, key
     return best
+
+
+# numpy sums fewer values than this one by one, and more in eight pairwise
+# partial sums
+PAIRWISE_MIN = 8
+
+
+def nearest_events(member: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Nearest event of every row: ``pick_nearest`` on whole arrays.
+
+    ``member`` (..., R) holds each realization's event index within its
+    level (a row of ``EventTree.member``) and ``distances``, of the same
+    shape, each realization's distance.  An event scores the sum of its
+    members' distances, each sum bit-equal to numpy's sum over the members
+    in ascending order as in ``pick_nearest``.  The lowest score wins and
+    ties go to the event holding the lowest realization, whatever the order
+    of events in the level.  Returns the event index of every row, shape
+    (...).
+    """
+    R = member.shape[-1]
+    m = member.reshape(-1, R)
+    row_start = np.arange(0, m.size, R)
+    groups = (m + row_start[:, None]).reshape(-1)  # event ids, distinct across rows
+    values = distances.reshape(-1)
+    scores = np.bincount(groups, values, m.size)    # one by one, in ascending order
+    if R >= PAIRWISE_MIN:
+        _pairwise_sums(groups, values, scores)
+    per_member = scores[groups].reshape(m.shape)
+    # the lowest realization among the best-scoring events names the winner
+    first = (per_member == per_member.min(axis=1, keepdims=True)).argmax(axis=1)
+    return m.reshape(-1)[row_start + first].reshape(member.shape[:-1])
+
+
+def _pairwise_sums(groups: np.ndarray, values: np.ndarray, sums: np.ndarray) -> None:
+    """Redo the sums of groups with ``PAIRWISE_MIN`` or more members in place,
+    as numpy sums them: a contiguous row per group, reduced along the row."""
+    sizes = np.bincount(groups, minlength=sums.size)
+    for size in np.unique(sizes[sizes >= PAIRWISE_MIN]):
+        big = np.flatnonzero(sizes == size)
+        at = np.flatnonzero(np.isin(groups, big))
+        at = at[np.argsort(groups[at], kind="stable")]
+        sums[big] = values[at].reshape(-1, size).sum(axis=1)
 
 
 def nearest_event(
@@ -270,7 +315,7 @@ def nearest_event(
     upto = np.abs(
         defining_ttd.values[:, :, 1:t] - info[np.newaxis, :, 1:t]
     ).sum(axis=(1, 2))
-    return pick_nearest(level, upto)
+    return level[int(nearest_events(tree.member[t], upto))]
 
 
 def parse_ttd(document: str | Mapping[str, Any]) -> TravelTimeDistribution:
@@ -283,8 +328,8 @@ def parse_ttd(document: str | Mapping[str, Any]) -> TravelTimeDistribution:
     if not isinstance(document, Mapping):
         raise ParseError("document root must be a mapping")
     try:
-        dt = float(document["dt_s"])
-        steps = int(document["steps"])
+        dt = parse_number(document["dt_s"], "dt_s")
+        steps = parse_number(document["steps"], "steps", int)
         links = [
             LinkRef(str(e["id"]), e["from"], e["to"]) for e in document["links"]
         ]
@@ -293,16 +338,18 @@ def parse_ttd(document: str | Mapping[str, Any]) -> TravelTimeDistribution:
         raw = document["realizations"]
     except KeyError as err:
         raise ParseError(f"missing required field {err}") from None
+    if steps < 1:
+        raise ValidationError("steps must be at least 1")
 
     probs = []
     values = np.empty((len(raw), len(links), steps + 1))
     for r, item in enumerate(raw):
-        probs.append(float(item["prob"]))
+        probs.append(parse_number(item["prob"], f"realization {r} prob"))
         times = item["times"]
         for i, link in enumerate(links):
             if link.id not in times:
                 raise ParseError(f"realization {r}: missing times for link {link.id}")
-            series = np.asarray(times[link.id], dtype=float)
+            series = parse_array(times[link.id], f"realization {r} times of {link.id}")
             if series.shape != (steps,):
                 raise ParseError(
                     f"realization {r}: link {link.id} needs {steps} values"

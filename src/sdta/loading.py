@@ -18,7 +18,7 @@ from .events import (
     TravelTimeDistribution,
     free_flow_distribution,
     links_of,
-    pick_nearest,
+    nearest_events,
     prefix_distances,
 )
 from .choice import SplitSchedule
@@ -458,60 +458,85 @@ def _translate_info(
     dt: float,
     stats: LoaderStats | None = None,
 ) -> PathSet:
-    first = policies[0]
-    ttd0 = first.defining_ttd
-    T = ttd0.horizon_steps
-    origin, dest = ttd0.origin, ttd0.destination
-    links = ttd0.links
-    dist_by_policy = [
-        prefix_distances(p.defining_ttd.values, info) for p in policies
-    ]
+    T = policies[0].defining_ttd.horizon_steps
+    departures = np.arange(1, T + 1)
     accumulators: dict[tuple[str, ...], np.ndarray] = {}
-    for w, policy in enumerate(policies):
-        tree = policy.tree
+    for policy in policies:
+        ttd = policy.defining_ttd
         node_index = policy.node_index
-        probs = policy.defining_ttd.probabilities
-        vals = policy.defining_ttd.values
-        eta = splits.row(policy.label)
-        for t in range(1, T + 1):
-            clock = t * dt
-            node = origin
-            path: list[str] = []
-            hops = 0
-            while node != dest:
-                s = min(int(clock / dt + 0.5), T)
-                s = max(s, 1)
-                level = tree.events_at(s)
-                event = level[0] if len(level) == 1 else pick_nearest(
-                    level, dist_by_policy[w][:, s]
+        dest = node_index[ttd.destination]
+        head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
+        # per step s: the event nearest to the history before s, the
+        # decision at every node and the clock advance over every link
+        event = nearest_events(policy.tree.member, prefix_distances(ttd.values, info).T)
+        columns, start = _side_by_side(policy.choice_levels)
+        decision = columns[:, start + event].T             # (T+1, nodes)
+        advance = _expected_advance(ttd, policy.tree.member == event[:, None], dt)
+
+        # every departure walks from the origin at once, one hop a pass
+        clock = departures * dt
+        node = np.full(T, node_index[ttd.origin], dtype=np.int64)
+        hops: list[np.ndarray] = []                        # link per departure, -1 once arrived
+        walking = node != dest
+        while walking.any():
+            s = np.clip((clock / dt + 0.5).astype(np.int64), 1, T)
+            li = np.where(walking, decision[s, node], -1)
+            stuck = walking & (li < 0)
+            if stuck.any():
+                raise NonTerminatingTranslation(
+                    f"policy {policy.label} has no route from node "
+                    f"{policy.nodes[node[stuck.argmax()]]}"
                 )
-                li = int(policy.choice_levels[s][node_index[node], tree.member[s, event.support[0]]])
-                if li < 0:
-                    raise NonTerminatingTranslation(
-                        f"policy {policy.label} has no route from node {node}"
-                    )
-                support = list(event.support)
-                weights = probs[support]
-                expected = float(weights @ vals[support, li, s] / weights.sum())
-                expected = max(dt, int(expected / dt + 0.5) * dt)
-                path.append(links[li].id)
-                node = links[li].to_node
-                clock += expected
-                hops += 1
-                if hops > 2 * T:
-                    raise NonTerminatingTranslation(
-                        f"walk from step {t} exceeded {2 * T} hops"
-                    )
-            key = tuple(path)
-            if key not in accumulators:
-                accumulators[key] = np.zeros(T + 1)
-            accumulators[key][t] += eta[t]
+            hops.append(li)
+            if len(hops) > 2 * T:
+                raise NonTerminatingTranslation(
+                    f"walk from step {departures[walking.argmax()]} exceeded {2 * T} hops"
+                )
+            clock = clock + advance[s, li]
+            node = np.where(walking, head[li], node)
+            walking = node != dest
+
+        # pool departures by link sequence, numbered hop by hop
+        sequence = np.zeros(T, dtype=np.int64)
+        for li in hops:
+            sequence = np.unique(sequence * (len(ttd.links) + 1) + li + 1, return_inverse=True)[1]
+        walks, eta = np.array(hops).T, splits.row(policy.label)[1:]
+        for u in range(sequence.max() + 1):
+            mine = sequence == u
+            key = tuple(ttd.links[li].id for li in walks[mine.argmax()] if li >= 0)
+            row = accumulators.setdefault(key, np.zeros(T + 1))
+            row[1:][mine] += eta[mine]
     if stats is not None:
         stats.translations += 1
     paths = tuple(sorted(accumulators))
     mu = np.vstack([accumulators[p] for p in paths])
     mu[:, 0] = mu[:, 1]
     return PathSet(paths, mu)
+
+
+def _side_by_side(levels: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step tables (rows, events of step t) as one table, and the column
+    where each step's table starts."""
+    sizes = np.array([level.shape[1] for level in levels])
+    return np.concatenate(levels, axis=1), np.cumsum(sizes) - sizes
+
+
+def _expected_advance(ttd: TravelTimeDistribution, inside: np.ndarray, dt: float) -> np.ndarray:
+    """Clock advance over every (step, link): the link's expected traversal
+    time over the realizations ``inside`` (T+1, R) that step's event,
+    rounded to the grid and at least one step."""
+    probs, values = ttd.probabilities, ttd.values
+    weights = np.where(inside, probs, 0.0)
+    mean = np.einsum("sr,rls->sl", weights, values) / weights.sum(axis=1)[:, None]
+    # The rounding is defined on ``w @ values / w.sum()`` over the event's
+    # members; summed in another order, a mean within rounding error of a
+    # half step may round the other way, so those few are redone that way.
+    x = mean / dt + 0.5
+    for s, li in zip(*np.nonzero(np.abs(x - np.rint(x)) <= 1e-9 * x)):
+        support = np.flatnonzero(inside[s])
+        w = probs[support]
+        mean[s, li] = w @ values[support, li, s] / w.sum()
+    return np.maximum(dt, (mean / dt + 0.5).astype(np.int64) * dt)
 
 
 def iterative_loading(
@@ -569,9 +594,7 @@ def link_policy_incidence(
         dists = prefix_distances(policy.defining_ttd.values, current_info)
         T = policy.defining_ttd.horizon_steps
         s = max(1, min(int(t), T))
-        level = policy.tree.events_at(s)
-        event = level[0] if len(level) == 1 else pick_nearest(level, dists[:, s])
-        e_idx = policy.tree.member[s, event.support[0]]
+        e_idx = nearest_events(policy.tree.member[s], dists[:, s])
         table = {}
         for node, j in policy.node_index.items():
             li = int(policy.choice_levels[s][j, e_idx])
@@ -605,19 +628,24 @@ def po_ltm(
     turns = _Turns(network)
     shares = np.vstack([splits.row(p.label) for p in policies])
     defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
-    # per policy: the rows of the diverge nodes in its decision tables, and
-    # a (diverge, defining link) -> out-link slot table whose last column
-    # answers the "no decision" index -1
-    rows, slots = [], []
-    diverge = np.arange(len(turns.diverge_nodes))
+    member = np.stack([p.tree.member for p in policies])             # (K, T+1, R')
+    # every policy's out-link slot (or -1) at each diverge under each event
+    # of each step, side by side; policy k's step-t events start at column
+    # first[k, t].  A slot table's last column answers the decision -1.
+    diverge = np.arange(len(turns.diverge_nodes))[:, None]
+    tables, first, width = [], [], 0
     for policy in policies:
-        rows.append(np.array([policy.node_index[n] for n in turns.diverge_nodes], dtype=np.int64))
         ids = [l.id for l in policy.defining_ttd.links]
-        table = np.full((diverge.size, len(ids) + 1), -1, dtype=np.int64)
+        slot = np.full((diverge.size, len(ids) + 1), -1, dtype=np.int64)
         for d, outs in enumerate(turns.diverge_outs):
-            for slot, link in enumerate(outs):
-                table[d, ids.index(network.links[link].id)] = slot
-        slots.append(table)
+            for side, link in enumerate(outs):
+                slot[d, ids.index(network.links[link].id)] = side
+        columns, start = _side_by_side(policy.choice_levels)
+        rows = [policy.node_index[n] for n in turns.diverge_nodes]
+        tables.append(slot[diverge, columns[rows]])
+        first.append(start + width)
+        width += columns.shape[1]
+    routes, first = np.hstack(tables), np.array(first)
     out = np.empty((scenario.n_realizations, len(network.links), T + 1))
 
     for r, real in enumerate(scenario.realizations):
@@ -625,7 +653,6 @@ def po_ltm(
         cum = _prefix_demand(real.demand, shares)
         info = np.zeros((len(network.links), T + 1))
         running = np.zeros(defining.shape[:2])
-        route = np.empty((K, diverge.size), dtype=np.int64)
 
         if stats is not None:
             stats.time_loops += 1
@@ -633,13 +660,8 @@ def po_ltm(
             for t in range(1, T + 1):
                 if t >= 2:
                     running += np.abs(defining[..., t - 1] - info[:, t - 1]).sum(axis=2)
-                for w, policy in enumerate(policies):
-                    tree = policy.tree
-                    level = tree.events_at(t)
-                    event = level[0] if len(level) == 1 else pick_nearest(level, running[w])
-                    e_idx = tree.member[t, event.support[0]]
-                    route[w] = slots[w][diverge, policy.choice_levels[t][rows[w], e_idx]]
-                engine.set_route(route)
+                event = nearest_events(member[:, t], running)
+                engine.set_route(routes[:, first[:, t] + event].T)
                 engine.step(t, cum, stats)
                 info[:, t] = engine.travel_time_column(t)
         engine.check_monotone()

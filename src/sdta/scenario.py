@@ -8,7 +8,8 @@ generated from explicit seeds so parsing is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -79,10 +80,31 @@ class Scenario:
         return self.horizon_steps * self.dt
 
 
+def parse_number(value: Any, what: str, kind: Callable[[Any], Any] = float) -> Any:
+    """``kind(value)``, or a ParseError naming ``what`` when the document
+    holds something else there (text, a list for a number, ...)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what}: expected a number, got {value!r}") from None
+
+
+def parse_array(value: Any, what: str) -> np.ndarray:
+    """A list of numbers as a float array, or a ParseError naming ``what``."""
+    return parse_number(value, what, partial(np.asarray, dtype=float))
+
+
+def _bounds(spec: Any, what: str) -> tuple[float, float]:
+    bounds = parse_array(spec, f"{what} uniform bounds")
+    if bounds.shape != (2,):
+        raise ParseError(f"{what}: uniform needs [low, high]")
+    return float(bounds[0]), float(bounds[1])
+
+
 def _generate_series(spec: Any, steps: int, what: str) -> np.ndarray:
     """Evaluate one series spec into a (steps,) float array (file units)."""
     if isinstance(spec, (list, tuple, np.ndarray)):
-        values = np.asarray(spec, dtype=float)
+        values = parse_array(spec, what)
         if values.shape != (steps,):
             raise ParseError(f"{what}: expected {steps} values, got {values.shape}")
         return values
@@ -90,25 +112,25 @@ def _generate_series(spec: Any, steps: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: series spec must be an array or a mapping")
 
     if "constant" in spec:
-        return np.full(steps, float(spec["constant"]))
+        return np.full(steps, parse_number(spec["constant"], what))
     if "uniform" in spec:
-        lo, hi = (float(v) for v in spec["uniform"])
+        lo, hi = _bounds(spec["uniform"], what)
         if "seed" not in spec:
             raise ParseError(f"{what}: uniform series needs an explicit seed")
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(parse_number(spec["seed"], f"{what} seed", int))
         return rng.uniform(lo, hi, size=steps)
     if "segments" in spec:
         if "seed" not in spec:
             raise ParseError(f"{what}: segmented series needs an explicit seed")
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(parse_number(spec["seed"], f"{what} seed", int))
         parts: list[np.ndarray] = []
         for seg in spec["segments"]:
-            n = int(seg["steps"])
+            n = parse_number(seg["steps"], f"{what} segment steps", int)
             if "uniform" in seg:
-                lo, hi = (float(v) for v in seg["uniform"])
+                lo, hi = _bounds(seg["uniform"], what)
                 parts.append(rng.uniform(lo, hi, size=n))
             elif "constant" in seg:
-                parts.append(np.full(n, float(seg["constant"])))
+                parts.append(np.full(n, parse_number(seg["constant"], what)))
             else:
                 raise ParseError(f"{what}: segment needs 'uniform' or 'constant'")
         values = np.concatenate(parts) if parts else np.empty(0)
@@ -138,8 +160,8 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
     if not isinstance(document, Mapping):
         raise ParseError("document root must be a mapping")
     try:
-        dt = float(document["dt_s"])
-        steps = int(document["steps"])
+        dt = parse_number(document["dt_s"], "dt_s")
+        steps = parse_number(document["steps"], "steps", int)
         raw = document["realizations"]
     except KeyError as err:
         raise ParseError(f"missing required field {err}") from None
@@ -157,7 +179,7 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
     realizations: list[Realization] = []
     for i, item in enumerate(raw):
         try:
-            prob = float(item["prob"])
+            prob = parse_number(item["prob"], f"realization {i} prob")
             demand_spec = item["demand"]
             capacity_spec = item.get("capacity", {})
         except KeyError as err:

@@ -2,7 +2,9 @@
 
 Everything here is written independently of the package internals: brute
 force enumeration, plain label setting, frozensets instead of event trees.
-Keep it slow and obvious.
+Keep it slow and obvious.  The one exception, ``translate_walk``, is the
+program's former scalar policy-to-path walk, kept as the reference for the
+batched one and built only on the scalar ``pick_nearest``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import math
 
 import numpy as np
 
-from sdta import LinkRef, TravelTimeDistribution
+from sdta import (
+    LinkRef,
+    NonTerminatingTranslation,
+    PathSet,
+    TravelTimeDistribution,
+    pick_nearest,
+    prefix_distances,
+)
 
 HOP_CAP = 60
 
@@ -152,3 +161,65 @@ def tdsp_value(ttd: TravelTimeDistribution, r: int) -> float:
                 cands.append(c + v[(nxt, arrive)])
             v[(n, t)] = min(cands)
     return v[(ttd.origin, 1)]
+
+
+def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
+    """Policy-to-path translation, one walk per policy and departure step.
+
+    Each walk starts at the origin at its departure time; at every node the
+    event nearest to the observed history ``info`` selects the decision, and
+    the clock advances by the in-event expected traversal time rounded to
+    the grid.  Walks with the same links pool their split fractions.
+    """
+    first = policies[0]
+    ttd0 = first.defining_ttd
+    T = ttd0.horizon_steps
+    origin, dest = ttd0.origin, ttd0.destination
+    links = ttd0.links
+    dist_by_policy = [
+        prefix_distances(p.defining_ttd.values, info) for p in policies
+    ]
+    accumulators = {}
+    for w, policy in enumerate(policies):
+        tree = policy.tree
+        node_index = policy.node_index
+        probs = policy.defining_ttd.probabilities
+        vals = policy.defining_ttd.values
+        eta = splits.row(policy.label)
+        for t in range(1, T + 1):
+            clock = t * dt
+            node = origin
+            path = []
+            hops = 0
+            while node != dest:
+                s = min(int(clock / dt + 0.5), T)
+                s = max(s, 1)
+                level = tree.events_at(s)
+                event = level[0] if len(level) == 1 else pick_nearest(
+                    level, dist_by_policy[w][:, s]
+                )
+                li = int(policy.choice_levels[s][node_index[node], tree.member[s, event.support[0]]])
+                if li < 0:
+                    raise NonTerminatingTranslation(
+                        f"policy {policy.label} has no route from node {node}"
+                    )
+                support = list(event.support)
+                weights = probs[support]
+                expected = float(weights @ vals[support, li, s] / weights.sum())
+                expected = max(dt, int(expected / dt + 0.5) * dt)
+                path.append(links[li].id)
+                node = links[li].to_node
+                clock += expected
+                hops += 1
+                if hops > 2 * T:
+                    raise NonTerminatingTranslation(
+                        f"walk from step {t} exceeded {2 * T} hops"
+                    )
+            key = tuple(path)
+            if key not in accumulators:
+                accumulators[key] = np.zeros(T + 1)
+            accumulators[key][t] += eta[t]
+    paths = tuple(sorted(accumulators))
+    mu = np.vstack([accumulators[p] for p in paths])
+    mu[:, 0] = mu[:, 1]
+    return PathSet(paths, mu)

@@ -186,3 +186,31 @@ def test_nan_travel_time_is_exit_3(tmp_path, capsys):
     ttd.write_text(yaml.safe_dump(doc))
     assert run("policies", str(ttd), "--out", str(tmp_path / "out")) == 3
     assert "travel times must be finite" in capsys.readouterr().err
+
+
+# Text or a list where a number belongs is a parse error (exit 2), not an
+# internal error.
+
+@pytest.mark.parametrize("dt, demand", [
+    ("abc", "{constant: 3600}"),
+    ("1.0", "{constant: [1, 2]}"),
+])
+def test_non_numeric_scenario_field_is_exit_2(tmp_path, capsys, dt, demand):
+    scn = tmp_path / "bad.yaml"
+    scn.write_text(SCENARIO_TEMPLATE.format(demand=demand, capacity="{}").replace(
+        "dt_s: 1.0", f"dt_s: {dt}"))
+    assert run("validate", "twolinks", str(scn)) == 2
+    assert "expected a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["dt_s", "steps", "prob"])
+def test_non_numeric_ttd_field_is_exit_2(tmp_path, capsys, field):
+    doc = yaml.safe_load(Path(fixture_path("parallel3.ttd.yaml")).read_text())
+    if field == "prob":
+        doc["realizations"][0]["prob"] = "abc"
+    else:
+        doc[field] = "abc"
+    ttd = tmp_path / "bad.ttd.yaml"
+    ttd.write_text(yaml.safe_dump(doc))
+    assert run("policies", str(ttd), "--out", str(tmp_path / "out")) == 2
+    assert "expected a number" in capsys.readouterr().err

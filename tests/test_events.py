@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdta import (
+    Event,
     LinkRef,
     TravelTimeDistribution,
     ValidationError,
@@ -14,6 +17,7 @@ from sdta import (
     prefix_distances,
     round_to_grid,
 )
+from sdta.events import nearest_events
 from conftest import read_fixture
 
 
@@ -123,6 +127,57 @@ def test_pick_nearest_first_minimum():
     level = tree.events_at(2)
     assert pick_nearest(level, np.array([5.0, 5.0])).support == (0,)
     assert pick_nearest(level, np.array([7.0, 1.0])).support == (1,)
+
+
+@st.composite
+def scored_levels(draw):
+    """Rows of (level, distances): a random partition of R realizations in a
+    random event order, so events are not sorted by their first member.
+
+    Distances are either arbitrary floats or small multiples of an inexact
+    unit such as 0.1, so that scores tie exactly or differ only by how
+    their sums round."""
+    R = draw(st.integers(1, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        labels = draw(st.lists(st.integers(0, R - 1), min_size=R, max_size=R))
+        groups = [tuple(r for r in range(R) if labels[r] == g) for g in sorted(set(labels))]
+        level = [Event(groups[i], 1) for i in draw(st.permutations(range(len(groups))))]
+        unit = draw(st.sampled_from([None, 1.0, 0.1, 1.0 / 3.0]))
+        distance = (st.floats(0.0, 1e4, allow_subnormal=False) if unit is None
+                    else st.integers(0, 3).map(lambda k: k * unit))
+        rows.append((level, np.array(draw(st.lists(distance, min_size=R, max_size=R)))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_levels())
+def test_nearest_events_agree_with_pick_nearest(rows):
+    member = np.empty((len(rows), rows[0][1].size), dtype=np.int64)
+    for i, (level, _) in enumerate(rows):
+        for e, event in enumerate(level):
+            member[i, list(event.support)] = e
+    distances = np.stack([d for _, d in rows])
+    got = nearest_events(member, distances)
+    for i, (level, d) in enumerate(rows):
+        assert got[i] == level.index(pick_nearest(level, d))
+        assert nearest_events(member[i], d) == got[i]
+
+
+@pytest.mark.parametrize("members, distances", [
+    # 0.1 + 0.2 + 0.3 rounds above 0.6 when summed in ascending order
+    ((0, 1, 1, 1), (0.1 + 0.2 + 0.3, 0.1, 0.2, 0.3)),
+    # eight times 0.1 is 0.8 when summed pairwise, as numpy does from eight
+    # values on, and just below 0.8 when summed one by one
+    ((0,) + (1,) * 8, (0.8,) + (0.1,) * 8),
+])
+def test_nearest_events_sum_as_numpy(members, distances):
+    """Event 0 ties event 1 only when event 1 sums exactly as numpy sums it,
+    and then wins on its lower first member."""
+    level = [Event((0,), 1), Event(tuple(range(1, len(members))), 1)]
+    distances = np.array(distances)
+    assert pick_nearest(level, distances) is level[0]
+    assert nearest_events(np.array(members), distances) == 0
 
 
 def test_level_zero_mirrors_level_one(parallel3_tree):
