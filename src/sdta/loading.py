@@ -523,7 +523,7 @@ def _side_by_side(levels: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
 
 def _expected_advance(ttd: TravelTimeDistribution, inside: np.ndarray, dt: float) -> np.ndarray:
     """Clock advance over every (step, link): the link's expected traversal
-    time over the realizations ``inside`` (T+1, R) that step's event,
+    time over the realizations in that step's event (``inside``, (T+1, R)),
     rounded to the grid and at least one step."""
     probs, values = ttd.probabilities, ttd.values
     weights = np.where(inside, probs, 0.0)
