@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -24,13 +25,14 @@ from . import __version__
 from .choice import ChoiceParams, splits_for
 from .equilibrium import (
     SolverConfig,
+    _load,
     average_expected_time,
     msa_solve,
 )
 from .errors import ParseError, SdtaError, ValidationError
 from .events import free_flow_distribution, parse_ttd
 from .fixtures import FIXTURES, fixture_path
-from .loading import LoaderStats, iterative_loading, po_ltm
+from .loading import LoaderStats
 from .network import parse_network
 from .policy import generate_policies
 from .scenario import parse_scenario
@@ -226,13 +228,7 @@ def cmd_load(args) -> int:
     t0 = time.perf_counter()
     policies, tree, splits = _policies_on_free_flow(network, scenario, config)
     stats = LoaderStats()
-    if config.loader == "chrono":
-        ttd = po_ltm(network, policies, splits, scenario,
-                     strict_origin=config.strict_origin, stats=stats)
-    else:
-        ttd = iterative_loading(network, policies, splits, scenario,
-                                config.k_inner,
-                                strict_origin=config.strict_origin, stats=stats)
+    ttd = _load(network, policies, splits, scenario, config, stats)
     t_load = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -292,14 +288,8 @@ def cmd_bench(args) -> int:
         stats = LoaderStats()
         for _ in range(max(1, args.repeat)):
             t0 = time.perf_counter()
-            if name == "chrono":
-                po_ltm(network, policies, splits, scenario,
-                       strict_origin=config.strict_origin, stats=stats)
-            else:
-                iterative_loading(network, policies, splits, scenario,
-                                  config.k_inner,
-                                  strict_origin=config.strict_origin,
-                                  stats=stats)
+            _load(network, policies, splits, scenario,
+                  dataclasses.replace(config, loader=name), stats)
             best = min(best, time.perf_counter() - t0)
         timings[name] = best
         counters[name] = {"time_loops": stats.time_loops,

@@ -183,51 +183,54 @@ class _Turns:
 
 
 class _Engine:
-    """Array-backed LTM step engine for one realization.
+    """Array-backed LTM step engine for a batch of realizations.
 
-    Every cumulative count lives in ``curves[side, link, row, step]``: side 0
-    is a link's upstream end and side 1 its downstream end, row 0 the
-    aggregate and rows 1..K the commodities.  ``up``/``down`` are the
-    aggregate (L, T+1) views and ``up_by``/``down_by`` the (L, K, T+1)
-    commodity views.  A step computes one flow per turn (see ``_Turns``),
-    each archetype group with a fixed number of array operations, and adds
-    at most two turns into every curve.  Step t reads samples up to t-1
-    only, so the order of nodes never matters.
+    Every cumulative count lives in ``curves[realization, side, link, row,
+    step]``: side 0 is a link's upstream end and side 1 its downstream end,
+    row 0 the aggregate and rows 1..K the commodities.  ``up``/``down`` are
+    the aggregate (R, L, T+1) views and ``up_by``/``down_by`` the
+    (R, L, K, T+1) commodity views.  A step computes one flow per turn (see
+    ``_Turns``) for every realization at once, each archetype group with a
+    fixed number of array operations, and adds at most two turns into every
+    curve.  Step t reads samples up to t-1 only, so the order of nodes never
+    matters.  Realizations share nothing but the network: reductions run
+    along the commodity axis only, so each realization's numbers are those
+    of a batch of one.
     """
 
     def __init__(
         self,
         turns: _Turns,
-        capacity: dict[str, np.ndarray],
+        capacities: Sequence[dict[str, np.ndarray]],
         dt: float,
         horizon_steps: int,
         n_commodities: int,
         strict_origin: bool,
     ):
-        L, M, K, T = turns.L, turns.M, n_commodities, horizon_steps
+        L, M, K, T, R = turns.L, turns.M, n_commodities, horizon_steps, len(capacities)
         self.turns = turns
-        self.L, self.K, self.T, self.dt = L, K, T, dt
+        self.L, self.K, self.T, self.R, self.dt = L, K, T, R, dt
         self.strict_origin = strict_origin
-        self.curves = np.zeros((2, L, K + 1, T + 1))
-        self.up, self.down = self.curves[0, :, 0], self.curves[1, :, 0]
-        self.up_by, self.down_by = self.curves[0, :, 1:], self.curves[1, :, 1:]
-        self.released_by = np.zeros(K)
-        self.origin_flow = np.zeros(T + 1)    # aggregate release per step
+        self.curves = np.zeros((R, 2, L, K + 1, T + 1))
+        self.up, self.down = self.curves[:, 0, :, 0], self.curves[:, 1, :, 0]
+        self.up_by, self.down_by = self.curves[:, 0, :, 1:], self.curves[:, 1, :, 1:]
+        self.released_by = np.zeros((R, K))
+        self.origin_flow = np.zeros((R, T + 1))   # aggregate release per step
         links = turns.links
         self.free_time = np.maximum([l.free_flow_time for l in links], dt)
         self.slack = np.zeros((2, L))         # added to the (sending | receiving) lookbacks
         self.slack[1] = [l.storage for l in links]
         steps = np.arange(T + 1)
-        self.capacity = np.stack(
-            [capacity[l.id][np.minimum(steps, capacity[l.id].size - 1)] for l in links],
-            axis=1,
-        )  # (T+1, L)
+        self.capacity = np.stack([
+            np.stack([c[l.id][np.minimum(steps, c[l.id].size - 1)] for l in links], axis=1)
+            for c in capacities
+        ], axis=1)  # (T+1, R, L)
         self._lookback_tables()
-        self._flow = np.zeros((2, L + 1))     # sending | receiving, column L: origin | sink
-        self._flow[1, L] = np.inf
-        self._weights = np.zeros((L + 1, K))  # row L: origin demand
-        self._turn_flows = np.zeros((M + 1, K + 1))
-        self._mask = np.zeros((M - turns.diverge.start, K))   # see set_route
+        self._flow = np.zeros((R, 2, L + 1))  # sending | receiving, column L: origin | sink
+        self._flow[:, 1, L] = np.inf
+        self._weights = np.zeros((R, L + 1, K))   # row L: origin demand
+        self._turn_flows = np.zeros((R, M + 1, K + 1))
+        self._mask = np.zeros((R, M - turns.diverge.start, K))   # see set_route
 
     def _lookback_tables(self) -> None:
         """Flat curve indices and weights of the step-t lookbacks.
@@ -236,9 +239,10 @@ class _Engine:
         aggregate downstream curve at (t+1)dt - L/w, interpolated as
         ``interp`` does: clamped at the last recorded sample t-1, and 0 at
         or before time 0.  ``look[t]`` holds each link's aggregate upstream
-        then downstream sample index; the reads of a step are, in order,
-        aggregate up, aggregate down and commodity up by (link, commodity),
-        and ``read_link``/``read_offset`` map them onto ``look``.
+        then downstream sample index within one realization; the reads of a
+        step are, in order, aggregate up, aggregate down and commodity up by
+        (link, commodity), and ``read_link``/``read_offset`` map them onto
+        ``look``, with each realization's offset in ``read_offset``'s rows.
         """
         L, K, T1, dt = self.L, self.K, self.T + 1, self.dt
         steps = np.arange(T1)
@@ -257,117 +261,130 @@ class _Engine:
         lo_f, frac_f = table(np.array([l.free_flow_time for l in links]))
         lo_w, frac_w = table(np.array([l.backward_wave_time for l in links]))
         row = np.arange(L) * (K + 1) * T1          # curve (side 0, link, row 0)
+        batch = np.arange(self.R)[:, None] * (2 * L * (K + 1) * T1)
         self.look = np.hstack([lo_f + row, lo_w + row + L * (K + 1) * T1])
         self.look_frac = np.hstack([frac_f, frac_w])
         self.read_link = np.r_[np.arange(2 * L), np.repeat(np.arange(L), K)]
-        self.read_offset = np.r_[np.zeros(2 * L, np.int64), np.tile(np.arange(1, K + 1) * T1, L)]
+        self.read_offset = batch + np.r_[
+            np.zeros(2 * L, np.int64), np.tile(np.arange(1, K + 1) * T1, L)
+        ]
+        self.up_start = batch + row               # (R, L): sample 0 of each `up` curve
         self.flat = self.curves.reshape(-1)
 
     def boundary_flows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sending (row 0) and receiving (row 1) flow per link at step t,
-        and the per-commodity gap (L, K) between the upstream lookback and
-        the downstream count."""
+        """Sending (side 0) and receiving (side 1) flow per realization and
+        link at step t, (R, 2, L), and the per-commodity gap (R, L, K)
+        between the upstream lookback and the downstream count."""
         L = self.L
-        prev = self.curves[:, :, :, t - 1]
+        prev = self.curves[..., t - 1]
         at = self.look[t].take(self.read_link) + self.read_offset
         a, b = self.flat.take(at), self.flat.take(at + 1)
         ahead = a + self.look_frac[t].take(self.read_link) * (b - a)
-        gap = ahead[: 2 * L].reshape(2, L) + self.slack - prev[::-1, :, 0]
-        flows = np.maximum(0.0, np.minimum(gap, self.capacity[t]), out=self._flow[:, :L])
-        return flows, ahead[2 * L:].reshape(L, self.K) - prev[1, :, 1:]
+        gap = ahead[:, : 2 * L].reshape(-1, 2, L) + self.slack - prev[:, ::-1, :, 0]
+        flows = np.maximum(
+            0.0, np.minimum(gap, self.capacity[t][:, None]), out=self._flow[:, :, :L]
+        )
+        return flows, ahead[:, 2 * L:].reshape(-1, L, self.K) - prev[:, 1, :, 1:]
 
     def set_route(self, route: np.ndarray) -> None:
-        """Route table (K, diverges): each commodity's out-link slot (0 or 1)
-        at each diverge, or -1 for no decision; holds until the next call."""
+        """Route table (R, K, diverges): each commodity's out-link slot (0 or
+        1) at each diverge, or -1 for no decision; holds until the next call."""
         tu = self.turns
-        self._mask = (route.T[tu.diverge_of_turn] == tu.diverge_slot) * 1.0
+        self._mask = (route.swapaxes(1, 2)[:, tu.diverge_of_turn] == tu.diverge_slot) * 1.0
 
     def step(
         self,
         t: int,
-        cum_demand: np.ndarray,   # (K, T+1)
+        cum_demand: np.ndarray,   # (R, K, T+1)
         stats: LoaderStats | None = None,
     ) -> None:
         tu, L = self.turns, self.L
         flows, gaps = self.boundary_flows(t)
         weights = self._weights
-        np.maximum(gaps, 0.0, out=weights[:L])
+        np.maximum(gaps, 0.0, out=weights[:, :L])
         if self.strict_origin:
-            avail = cum_demand[:, t] - cum_demand[:, t - 1]
+            avail = cum_demand[..., t] - cum_demand[..., t - 1]
         else:
-            avail = cum_demand[:, t] - self.released_by
-        np.maximum(avail, 0.0, out=weights[L])
+            avail = cum_demand[..., t] - self.released_by
+        np.maximum(avail, 0.0, out=weights[:, L])
 
         # commodity weights per turn: the source's gaps (the origin's
         # demand), kept at a diverge only for commodities routed that way
-        w = weights.take(tu.src, axis=0)
-        w[tu.diverge] *= self._mask
-        total = np.cumsum(w, axis=1)[:, -1]   # in commodity order, as `sum`
-        self._flow[0, L] = total[0]
+        w = weights.take(tu.src, axis=1)
+        w[:, tu.diverge] *= self._mask
+        total = np.cumsum(w, axis=2)[..., -1]   # in commodity order, as `sum`
+        self._flow[:, 0, L] = total[:, 0]
 
-        g = np.empty(tu.M)                    # aggregate flow per turn
-        ends = self._flow.reshape(-1)
-        sup, rec = ends.take(tu.simple_ends)
-        np.minimum(sup, rec, out=g[tu.simple])
+        g = np.empty((self.R, tu.M))          # aggregate flow per turn
+        ends = self._flow.reshape(self.R, -1)
+        sup, rec = ends.take(tu.simple_ends, axis=1).swapaxes(0, 1)
+        np.minimum(sup, rec, out=g[:, tu.simple])
         if tu.merge.stop > tu.merge.start:
             # Daganzo: everything when it fits, else median(claim, leftover,
             # priority share), as `transition_merge`
-            own, other, rec = ends.take(tu.merge_ends)
+            own, other, rec = ends.take(tu.merge_ends, axis=1).swapaxes(0, 1)
             leftover = rec - other
             median = np.maximum(
                 np.minimum(own, leftover),
                 np.minimum(np.maximum(own, leftover), tu.merge_share * rec),
             )
-            g[tu.merge] = np.where(own + other <= rec, own, median)
+            g[:, tu.merge] = np.where(own + other <= rec, own, median)
         if tu.diverge.stop > tu.diverge.start:
             # routed gaps throttled by the other branch, as `transition_diverge`
-            own = total[tu.diverge]
-            other = total.take(tu.diverge_other)
-            rec = ends.take(tu.diverge_receiving)
+            own = total[:, tu.diverge]
+            other = total.take(tu.diverge_other, axis=1)
+            rec = ends.take(tu.diverge_receiving, axis=1)
             ratio = np.where(other > 0.0, rec * own / other, np.inf)
-            g[tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
+            g[:, tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
         # turn flows: aggregate, then split over commodities by weight as
         # `disaggregate`; each curve adds its (at most two) turns
         table = self._turn_flows
-        table[:-1, 0] = g
-        np.divide(g[:, None] * w, (total + XI)[:, None], out=table[:-1, 1:])
-        self.origin_flow[t] = g[0]
-        self.released_by += table[0, 1:]
-        np.add(self.curves[:, :, :, t - 1],
-               table.take(tu.feed[0], axis=0) + table.take(tu.feed[1], axis=0),
-               out=self.curves[:, :, :, t])
+        table[:, :-1, 0] = g
+        np.divide(g[..., None] * w, (total + XI)[..., None], out=table[:, :-1, 1:])
+        self.origin_flow[:, t] = g[:, 0]
+        self.released_by += table[:, 0, 1:]
+        np.add(self.curves[..., t - 1],
+               table.take(tu.feed[0], axis=1) + table.take(tu.feed[1], axis=1),
+               out=self.curves[..., t])
         if stats is not None:
-            stats.node_updates += tu.n_nodes
+            stats.node_updates += self.R * tu.n_nodes
 
     def travel_time_column(self, t: int) -> np.ndarray:
         """Travel time of the vehicle leaving each link at step t, matched
-        on the curves as recorded up to step t."""
-        exits = self.down[:, t]
-        j = np.add.reduce(self.up[:, : t + 1] < exits[:, None], axis=1, dtype=np.int64)
-        return _matched_times(self.up, exits, j, t, t, self.dt, self.free_time)
+        on the curves as recorded up to step t; (R, L)."""
+        exits = self.down[..., t]
+        j = np.add.reduce(self.up[..., : t + 1] < exits[..., None], axis=2, dtype=np.int64)
+        return _matched_times(self.flat, self.up_start, exits, j, t, t, self.dt, self.free_time)
 
     def travel_times(self) -> np.ndarray:
         """Every travel time column at once, matched on the finished curves;
-        (L, T+1) with column 0 mirroring column 1."""
-        exits = self.down[:, 1:]
-        j = np.stack([np.searchsorted(u, e) for u, e in zip(self.up, exits)])
-        out = np.empty((self.L, self.T + 1))
-        out[:, 1:] = _matched_times(
-            self.up, exits, j, np.arange(1, self.T + 1), self.T, self.dt,
-            self.free_time[:, None],
+        (R, L, T+1) with column 0 mirroring column 1."""
+        exits = self.down[..., 1:]
+        j = np.array([
+            [np.searchsorted(u, e) for u, e in zip(ups, ends)]
+            for ups, ends in zip(self.up, exits)
+        ])
+        out = np.empty((self.R, self.L, self.T + 1))
+        out[..., 1:] = _matched_times(
+            self.flat, self.up_start[..., None], exits, j, np.arange(1, self.T + 1),
+            self.T, self.dt, self.free_time[:, None],
         )
-        out[:, 0] = out[:, 1]
+        out[..., 0] = out[..., 1]
         return out
 
     def check_monotone(self) -> None:
         """Node rules never move a negative flow; a decreasing curve means
-        the state is corrupt."""
-        if np.any(np.diff(self.curves, axis=-1) < -1e-9):
-            raise ValidationError("cumulative counts cannot decrease")
+        the state is corrupt.  Checked a realization at a time to keep the
+        differences small."""
+        for curves in self.curves:
+            if np.any(np.diff(curves, axis=-1) < -1e-9):
+                raise ValidationError("cumulative counts cannot decrease")
 
-    def result(self, travel_times: np.ndarray, cum_demand: np.ndarray) -> LoadResult:
-        released = np.cumsum(self.origin_flow)
+    def result(self, r: int, travel_times: np.ndarray, cum_demand: np.ndarray) -> LoadResult:
+        """Realization r's diagnostics; ``cum_demand`` holds its own
+        commodities only, so the demand totals sum exactly those rows."""
+        released = np.cumsum(self.origin_flow[r])
         # per-step totals summed exactly as `cum_demand[:, t].sum()`
         demand = np.ascontiguousarray(cum_demand.T).sum(axis=1)
         backlog = np.maximum(0.0, demand - released)
@@ -375,18 +392,19 @@ class _Engine:
         return LoadResult(
             travel_times=travel_times,
             origin_backlog=backlog,
-            vehicles_in_network=np.cumsum(self.up - self.down, axis=0)[-1],
+            vehicles_in_network=np.cumsum(self.up[r] - self.down[r], axis=0)[-1],
             released=float(released[-1]),
-            exited=float(self.down[self.turns.dest_in, -1]),
+            exited=float(self.down[r, self.turns.dest_in, -1]),
             demand_total=float(demand[-1]),
         )
 
 
-def _matched_times(up, exits, j, t, last, dt, fallback):
+def _matched_times(flat, start, exits, j, t, last, dt, fallback):
     """Vectorised ``link_travel_time`` by count matching.
 
     ``exits`` are downstream counts at steps ``t`` (broadcast over links),
-    ``last`` the last upstream sample recorded, and ``j`` the first
+    ``start`` the flat index in ``flat`` of sample 0 of each exit's upstream
+    curve, ``last`` the last upstream sample recorded, and ``j`` the first
     upstream sample at or above each count (``last + 1`` when none is).
     Entry time interpolates between samples j-1 and j, which lands exactly
     on sample j's time when it hits the count.  A count a rounding error
@@ -394,12 +412,12 @@ def _matched_times(up, exits, j, t, last, dt, fallback):
     time floors at one step as in ``inverse``.  No exits, or exits further
     above the recorded entries, fall back to free flow.
     """
-    rows = np.arange(up.shape[0]).reshape((-1,) + (1,) * (np.ndim(exits) - 1))
     j = np.minimum(j, last)
-    lo, hi = up[rows, j - 1], up[rows, j]
+    at = start + j
+    lo, hi = flat.take(at - 1), flat.take(at)
     entry = (j - 1 + (exits - lo) / (hi - lo)) * dt
     travel = np.maximum(t * dt - entry, dt)
-    reached = (exits > 0.0) & (exits <= up[rows, last] + 1e-12)
+    reached = (exits > 0.0) & (exits <= flat.take(start + last) + 1e-12)
     return np.where(reached, travel, fallback)
 
 
@@ -414,22 +432,51 @@ def path_ltm(
     stats: LoaderStats | None = None,
 ) -> LoadResult:
     """Load fixed paths through one realization's demand and capacity."""
-    pathset.validate_against(network)
-    T = demand.size - 1
-    K = len(pathset.paths)
+    engine, cum, travel = _load_paths(
+        network, [pathset], [demand], [capacity], dt, strict_origin, stats
+    )
+    return engine.result(0, travel[0], cum[0])
+
+
+def _load_paths(
+    network: Network,
+    pathsets: Sequence[PathSet],
+    demands: Sequence[np.ndarray],
+    capacities: Sequence[dict[str, np.ndarray]],
+    dt: float,
+    strict_origin: bool,
+    stats: LoaderStats | None,
+) -> tuple[_Engine, np.ndarray, np.ndarray]:
+    """Load each realization's paths in one batched sweep; returns the
+    engine, the cumulative demand (R, K, T+1) and the travel times
+    (R, L, T+1).
+
+    Path sets differ in size, so every realization gets as many commodities
+    as the largest: the extra ones, at the end, carry no demand and take no
+    route.  Zeros appended to a commodity-order sum leave it unchanged.
+    """
+    for pathset in pathsets:
+        pathset.validate_against(network)
+    T = demands[0].size - 1
+    K = max(len(pathset.paths) for pathset in pathsets)
     turns = _Turns(network)
-    engine = _Engine(turns, capacity, dt, T, K, strict_origin)
-    cum = _prefix_demand(demand, pathset.mu)
+    engine = _Engine(turns, capacities, dt, T, K, strict_origin)
+    cum = np.zeros((len(pathsets), K, T + 1))
+    route = np.full((len(pathsets), K, len(turns.diverge_in)), -1, dtype=np.int64)
+    for r, (pathset, demand) in enumerate(zip(pathsets, demands)):
+        k = len(pathset.paths)
+        cum[r, :k] = _prefix_demand(demand, pathset.mu)
+        route[r, :k] = turns.path_routes(pathset.paths, network)
 
     if stats is not None:
-        stats.time_loops += 1
-    engine.set_route(turns.path_routes(pathset.paths, network))
+        stats.time_loops += len(pathsets)
+    engine.set_route(route)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             engine.step(t, cum, stats)
         travel = engine.travel_times()
     engine.check_monotone()
-    return engine.result(travel, cum)
+    return engine, cum, travel
 
 
 def translate(
@@ -551,29 +598,32 @@ def iterative_loading(
 ) -> TravelTimeDistribution:
     """Policy loading by alternating translation and path loading.
 
-    Per realization: translate against the current iterate, load the paths,
-    average travel times with step size 1/l, and repeat ``k_inner`` times
-    (one more translation closes each realization).
+    Every realization starts from free flow: translate each against its
+    current iterate, load all path sets in one batched sweep, average travel
+    times with step size 1/l, and repeat ``k_inner`` times (one more
+    translation closes each realization).
     """
     if k_inner < 1:
         raise ValidationError("need at least one inner iteration")
-    T = scenario.horizon_steps
     free = free_flow_distribution(network, scenario)
-    out = np.empty((scenario.n_realizations, len(network.links), T + 1))
-    for r, real in enumerate(scenario.realizations):
-        current = free.values[0].copy()
-        pathset = _translate_info(policies, splits, current, scenario.dt, stats)
-        for l in range(1, k_inner + 1):
-            result = path_ltm(
-                network, pathset, real.demand, real.capacity, scenario.dt,
-                strict_origin=strict_origin, stats=stats,
-            )
-            alpha = 1.0 / l
-            current = (1.0 - alpha) * current + alpha * result.travel_times
-            pathset = _translate_info(policies, splits, current, scenario.dt, stats)
-        out[r] = current
+    dt, reals = scenario.dt, scenario.realizations
+    demands = [real.demand for real in reals]
+    capacities = [real.capacity for real in reals]
+
+    def translated(iterate):
+        return [_translate_info(policies, splits, info, dt, stats) for info in iterate]
+
+    current = np.repeat(free.values[:1], len(reals), axis=0)
+    pathsets = translated(current)
+    for l in range(1, k_inner + 1):
+        _, _, travel = _load_paths(
+            network, pathsets, demands, capacities, dt, strict_origin, stats
+        )
+        alpha = 1.0 / l
+        current = (1.0 - alpha) * current + alpha * travel
+        pathsets = translated(current)
     return TravelTimeDistribution(
-        out, scenario.dt, scenario.probabilities, links_of(network),
+        current, dt, scenario.probabilities, links_of(network),
         network.origin, network.destination,
     )
 
@@ -614,14 +664,15 @@ def po_ltm(
     stats: LoaderStats | None = None,
     diagnostics: list | None = None,
 ) -> TravelTimeDistribution:
-    """Chronological policy loading: one pass over time per realization.
+    """Chronological policy loading: one pass over time for all realizations.
 
-    Policies are the commodities.  At every step the realized travel times
-    written so far pick each policy's event (incrementally accumulated
+    Policies are the commodities.  At every step each realization's travel
+    times written so far pick each policy's event (incrementally accumulated
     absolute-difference metric), whose decisions at the diverges form that
     step's route table; after moving flows the step's travel times are
-    appended to the realized history.  ``diagnostics`` (a list, if given) receives one
-    LoadResult per realization for conservation checks.
+    appended to the realized history.  ``diagnostics`` (a list, if given)
+    receives one LoadResult per realization, in order, for conservation
+    checks.
     """
     T = scenario.horizon_steps
     K = len(policies)
@@ -630,8 +681,9 @@ def po_ltm(
     defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
     member = np.stack([p.tree.member for p in policies])             # (K, T+1, R')
     # every policy's out-link slot (or -1) at each diverge under each event
-    # of each step, side by side; policy k's step-t events start at column
-    # first[k, t].  A slot table's last column answers the decision -1.
+    # of each step, one row per (policy, step, event); policy k's step-t
+    # events start at row first[k, t].  A slot table's last column answers
+    # the decision -1.
     diverge = np.arange(len(turns.diverge_nodes))[:, None]
     tables, first, width = [], [], 0
     for policy in policies:
@@ -645,32 +697,31 @@ def po_ltm(
         tables.append(slot[diverge, columns[rows]])
         first.append(start + width)
         width += columns.shape[1]
-    routes, first = np.hstack(tables), np.array(first)
-    out = np.empty((scenario.n_realizations, len(network.links), T + 1))
+    routes, first = np.hstack(tables).T, np.array(first)
+    reals = scenario.realizations
+    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
+    cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
+    info = np.zeros((len(reals), len(network.links), T + 1))
+    running = np.zeros((len(reals),) + defining.shape[:2])        # (R, K, R')
 
-    for r, real in enumerate(scenario.realizations):
-        engine = _Engine(turns, real.capacity, scenario.dt, T, K, strict_origin)
-        cum = _prefix_demand(real.demand, shares)
-        info = np.zeros((len(network.links), T + 1))
-        running = np.zeros(defining.shape[:2])
-
-        if stats is not None:
-            stats.time_loops += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for t in range(1, T + 1):
-                if t >= 2:
-                    running += np.abs(defining[..., t - 1] - info[:, t - 1]).sum(axis=2)
-                event = nearest_events(member[:, t], running)
-                engine.set_route(routes[:, first[:, t] + event].T)
-                engine.step(t, cum, stats)
-                info[:, t] = engine.travel_time_column(t)
-        engine.check_monotone()
-        info[:, 0] = info[:, 1]
-        out[r] = info
-        if diagnostics is not None:
-            diagnostics.append(engine.result(info, cum))
+    if stats is not None:
+        stats.time_loops += len(reals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            if t >= 2:
+                seen = info[:, None, None, :, t - 1]
+                running += np.abs(defining[..., t - 1] - seen).sum(axis=3)
+            event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
+            engine.set_route(routes[first[:, t] + event])
+            engine.step(t, cum, stats)
+            info[..., t] = engine.travel_time_column(t)
+    engine.check_monotone()
+    info[..., 0] = info[..., 1]
+    if diagnostics is not None:
+        for r in range(len(reals)):
+            diagnostics.append(engine.result(r, info[r], cum[r]))
     return TravelTimeDistribution(
-        out, scenario.dt, scenario.probabilities, links_of(network),
+        info, scenario.dt, scenario.probabilities, links_of(network),
         network.origin, network.destination,
     )
 

@@ -167,6 +167,8 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
         raise ParseError(f"missing required field {err}") from None
     if not (np.isfinite(dt) and dt > 0) or steps < 1:
         raise ValidationError("dt must be positive and steps at least 1")
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError("realizations must be a list")
 
     warnings: list[str] = []
     for link in network.links:
@@ -178,12 +180,16 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
 
     realizations: list[Realization] = []
     for i, item in enumerate(raw):
+        if not isinstance(item, Mapping):
+            raise ParseError(f"realization {i} must be a mapping")
         try:
             prob = parse_number(item["prob"], f"realization {i} prob")
             demand_spec = item["demand"]
             capacity_spec = item.get("capacity", {})
         except KeyError as err:
             raise ParseError(f"realization {i}: missing field {err}") from None
+        if not isinstance(capacity_spec, Mapping):
+            raise ParseError(f"realization {i}: capacity must map link ids to series")
 
         demand_hourly = _generate_series(demand_spec, steps, f"realization {i} demand")
         demand = _with_zero_head(demand_hourly * dt / 3600.0, head=0.0)

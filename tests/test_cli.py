@@ -120,6 +120,26 @@ def test_load_reports_counters(tmp_path, capsys):
     assert (out / "travel_times.csv").exists()
 
 
+def test_bench_reports_both_loaders(tmp_path, capsys):
+    steps, k_inner = 40, 2
+    out = tmp_path / "bench"
+    assert run(
+        "bench", "twolinks", "twolinks", "--steps", str(steps),
+        "--inner-iters", str(k_inner), "--out", str(out),
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads((out / "bench.json").read_text())
+    assert set(report) == {"chrono_s", "iter_s", "speedup", "counters", "k_inner"}
+    assert report["k_inner"] == k_inner
+    R, nodes = 3, 3
+    assert report["counters"] == {
+        "chrono": {"time_loops": R, "translations": 0, "node_updates": R * steps * nodes},
+        "iter": {"time_loops": R * k_inner, "translations": R * (k_inner + 1),
+                 "node_updates": R * k_inner * steps * nodes},
+    }
+    assert report["chrono_s"] > 0.0 and report["iter_s"] > 0.0
+
+
 def test_policies_command_dumps_decision_table(tmp_path):
     out = tmp_path / "pol"
     assert run("policies", "parallel3", "--out", str(out)) == 0
@@ -201,6 +221,18 @@ def test_non_numeric_scenario_field_is_exit_2(tmp_path, capsys, dt, demand):
         "dt_s: 1.0", f"dt_s: {dt}"))
     assert run("validate", "twolinks", str(scn)) == 2
     assert "expected a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "dt_s: 1.0\nsteps: 30\nrealizations: [5]\n",
+    "dt_s: 1.0\nsteps: 30\nrealizations: {a: {prob: 1.0, demand: {constant: 3600}}}\n",
+    SCENARIO_TEMPLATE.format(demand="{constant: 3600}", capacity="[1, 2]"),
+], ids=["realization-not-a-mapping", "realizations-a-mapping", "capacity-a-list"])
+def test_misshapen_scenario_is_exit_2(tmp_path, capsys, text):
+    scn = tmp_path / "bad.yaml"
+    scn.write_text(text)
+    assert run("validate", "twolinks", str(scn)) == 2
+    assert "must" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["dt_s", "steps", "prob"])
