@@ -57,7 +57,6 @@ from .policy import (
     generate_policies,
     horizon_shortest,
     lp_policy,
-    lp_policy_arbitrary,
 )
 from .choice import (
     ChoiceParams,
@@ -120,7 +119,7 @@ __all__ = [
     "prefix_distances", "round_to_grid",
     "Policy", "PolicyKind", "ZFactors", "check_monotone", "dot_spi",
     "expected_origin_time", "generate_policies", "horizon_shortest",
-    "lp_policy", "lp_policy_arbitrary",
+    "lp_policy",
     "ChoiceParams", "SplitSchedule", "logit_splits", "splits_for",
     "utilities",
     "CumulativeCurve", "LinkState", "disaggregate", "interp", "inverse",

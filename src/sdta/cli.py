@@ -3,7 +3,7 @@
 Subcommands: validate inputs, solve the equilibrium, run a single load,
 dump policy tables, benchmark the two loaders, and sweep the perturbation
 factor.  Results land in a directory with a manifest recording the config,
-input digests, seed, version and stage timings; result tables are
+input digests, version and stage timings; result tables are
 deterministic so reruns are byte-identical.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .choice import ChoiceParams, splits_for
+from .choice import splits_for
 from .equilibrium import (
     SolverConfig,
     _load,
@@ -91,7 +91,6 @@ def _config_from(args) -> SolverConfig:
         loader=args.loader,
         k_inner=args.inner_iters,
         convergence_eps=args.eps,
-        seed=args.seed,
         strict_origin=args.strict_origin,
     )
 
@@ -101,19 +100,9 @@ def _write_manifest(out: Path, command: str, config: SolverConfig | None,
     manifest = {
         "command": command,
         "version": __version__,
-        "config": None if config is None else {
-            "k_outer": config.k_outer,
-            "z": list(config.z),
-            "kappa": config.kappa,
-            "loader": config.loader,
-            "k_inner": config.k_inner,
-            "convergence_eps": config.convergence_eps,
-            "seed": config.seed,
-            "strict_origin": config.strict_origin,
-        },
+        "config": None if config is None else dataclasses.asdict(config),
         "inputs": {name: {"path": str(p), "sha256": _digest(p)}
                    for name, p in inputs.items()},
-        "seed": None if config is None else config.seed,
         "timing_s": {k: round(v, 6) for k, v in timings.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -213,7 +202,7 @@ def cmd_solve(args) -> int:
 def _policies_on_free_flow(network, scenario, config):
     free = free_flow_distribution(network, scenario)
     policies, tree = generate_policies(free, config.z)
-    splits = splits_for(policies, tree, ChoiceParams(kappa=config.kappa))
+    splits = splits_for(policies, tree, config.choice_params())
     return policies, tree, splits
 
 
@@ -314,16 +303,11 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     net_path, network = _read_network(args.network)
     scn_path, scenario = _read_scenario(args.scenario, network, args.steps)
-    values = args.z_values
+    base = _config_from(args)
     t0 = time.perf_counter()
     rows = []
-    for zv in values:
-        config = SolverConfig(
-            k_outer=args.iters, z=(zv,), kappa=args.kappa, loader=args.loader,
-            k_inner=args.inner_iters, convergence_eps=args.eps, seed=args.seed,
-            strict_origin=args.strict_origin,
-        )
-        result = msa_solve(network, scenario, config)
+    for zv in args.z_values:
+        result = msa_solve(network, scenario, dataclasses.replace(base, z=(zv,)))
         optimal_row = result.final_splits.row(result.final_policies[0].label)
         for t in range(1, result.final_splits.horizon_steps + 1):
             rows.append((zv, t, optimal_row[t]))
@@ -346,7 +330,6 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
         p.add_argument("network", help="network file or fixture name")
         p.add_argument("scenario", help="scenario file or fixture name")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loader", choices=("chrono", "iter"), default="chrono")
     p.add_argument("--policies", type=int, default=None,
                    help="number of policies (optimal plus suboptimal)")

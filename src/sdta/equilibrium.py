@@ -38,7 +38,6 @@ class SolverConfig:
     loader: str = "chrono"
     k_inner: int = 5
     convergence_eps: float = 1e-3
-    seed: int = 0
     strict_origin: bool = False
 
     def __post_init__(self):

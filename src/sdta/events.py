@@ -226,15 +226,27 @@ def event_probability(tree: EventTree, event: Event, parent: Event | None = None
     return mass / tree.mass(parent)
 
 
+def step_distances(defining: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Distance between a distribution and observed times at one step each.
+
+    Sums ``|defining - observed|`` over the last axis, the links; the other
+    axes broadcast.  The difference is copied to a contiguous array first,
+    because numpy's summation order depends on memory layout (one by one
+    below eight links, pairwise from eight), and every caller must get the
+    same digits.
+    """
+    return np.ascontiguousarray(np.abs(defining - observed)).sum(axis=-1)
+
+
 def prefix_distances(defining_values: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Cumulative per-realization distance between a distribution and observed times.
 
-    Returns D with shape (R, T+1) where D[r, t] sums |defining - info| over
-    all links and steps strictly before t.
+    Returns D with shape (R, T+1) where D[r, t] sums ``step_distances`` over
+    the steps strictly before t, in step order.
     """
-    diff = np.abs(defining_values[:, :, 1:] - info[np.newaxis, :, 1:]).sum(axis=1)
+    diff = step_distances(defining_values[:, :, 1:-1].swapaxes(1, 2), info[:, 1:-1].T)
     out = np.zeros((defining_values.shape[0], defining_values.shape[2]))
-    np.cumsum(diff[:, :-1], axis=1, out=out[:, 2:])
+    np.cumsum(diff, axis=1, out=out[:, 2:])
     return out
 
 
@@ -312,9 +324,7 @@ def nearest_event(
     level = tree.events_at(t)
     if len(level) == 1:
         return level[0]
-    upto = np.abs(
-        defining_ttd.values[:, :, 1:t] - info[np.newaxis, :, 1:t]
-    ).sum(axis=(1, 2))
+    upto = prefix_distances(defining_ttd.values, info)[:, t]
     return level[int(nearest_events(tree.member[t], upto))]
 
 

@@ -113,13 +113,6 @@ class LinkState:
         self.up_by = {}
         self.down_by = {}
 
-    def add_commodity(self, key) -> None:
-        self.up_by[key] = CumulativeCurve(self.dt)
-        self.down_by[key] = CumulativeCurve(self.dt)
-
-    def vehicles_on_link(self) -> float:
-        return self.up.last - self.down.last
-
 
 def sending_flow(link: LinkState, t: int) -> float:
     """Vehicles able to leave during step t, before capacity of this step.

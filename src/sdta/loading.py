@@ -20,6 +20,7 @@ from .events import (
     links_of,
     nearest_events,
     prefix_distances,
+    step_distances,
 )
 from .choice import SplitSchedule
 # The scalar kernels stay the reference the engine is tested against; they
@@ -334,7 +335,8 @@ class _Engine:
             own = total[:, tu.diverge]
             other = total.take(tu.diverge_other, axis=1)
             rec = ends.take(tu.diverge_receiving, axis=1)
-            ratio = np.where(other > 0.0, rec * own / other, np.inf)
+            with np.errstate(over="ignore"):   # a subnormal `other`; `own` clips the inf
+                ratio = np.where(other > 0.0, rec * own / other, np.inf)
             g[:, tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
         # turn flows: aggregate, then split over commodities by weight as
@@ -513,11 +515,8 @@ def _translate_info(
         node_index = policy.node_index
         dest = node_index[ttd.destination]
         head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
-        # per step s: the event nearest to the history before s, the
-        # decision at every node and the clock advance over every link
-        event = nearest_events(policy.tree.member, prefix_distances(ttd.values, info).T)
-        columns, start = _side_by_side(policy.choice_levels)
-        decision = columns[:, start + event].T             # (T+1, nodes)
+        # per step s: the clock advance over every link in the matched event
+        event, decision = _decisions(policy, info)
         advance = _expected_advance(ttd, policy.tree.member == event[:, None], dt)
 
         # every departure walks from the origin at once, one hop a pass
@@ -559,6 +558,15 @@ def _translate_info(
     mu = np.vstack([accumulators[p] for p in paths])
     mu[:, 0] = mu[:, 1]
     return PathSet(paths, mu)
+
+
+def _decisions(policy: Policy, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The event nearest to the history before every step, (T+1,), and the
+    policy's decision at every node under it, (T+1, nodes)."""
+    distances = prefix_distances(policy.defining_ttd.values, info)
+    event = nearest_events(policy.tree.member, distances.T)
+    columns, start = _side_by_side(policy.choice_levels)
+    return event, columns[:, start + event].T
 
 
 def _side_by_side(levels: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -641,16 +649,12 @@ def link_policy_incidence(
     """
     out: dict[str, dict] = {}
     for policy in policies:
-        dists = prefix_distances(policy.defining_ttd.values, current_info)
-        T = policy.defining_ttd.horizon_steps
-        s = max(1, min(int(t), T))
-        e_idx = nearest_events(policy.tree.member[s], dists[:, s])
-        table = {}
-        for node, j in policy.node_index.items():
-            li = int(policy.choice_levels[s][j, e_idx])
-            if li >= 0:
-                table[node] = policy.defining_ttd.links[li].id
-        out[policy.label] = table
+        links = policy.defining_ttd.links
+        s = max(1, min(int(t), policy.defining_ttd.horizon_steps))
+        decision = _decisions(policy, current_info)[1][s]
+        out[policy.label] = {
+            node: links[li].id for node, li in zip(policy.nodes, decision) if li >= 0
+        }
     return out
 
 
@@ -709,8 +713,7 @@ def po_ltm(
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if t >= 2:
-                seen = info[:, None, None, :, t - 1]
-                running += np.abs(defining[..., t - 1] - seen).sum(axis=3)
+                running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
             event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
             engine.set_route(routes[first[:, t] + event])
             engine.step(t, cum, stats)

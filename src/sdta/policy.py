@@ -293,26 +293,6 @@ def check_monotone(ttd: TravelTimeDistribution) -> bool:
     return bool(np.all(np.diff(ttd.values[:, :, 1:], axis=2) > 0))
 
 
-def _inflate(
-    values: np.ndarray,
-    tree: EventTree,
-    optimal: Policy,
-    z: float,
-    steps: Iterable[int],
-    dest: NodeId,
-) -> None:
-    """Multiply the optimal choice's times by z at the given steps, in place."""
-    d_idx = optimal.node_index[dest]
-    for t in steps:
-        for e_idx, event in enumerate(tree.events_at(t)):
-            for j in range(len(optimal.nodes)):
-                if j == d_idx:
-                    continue
-                li = int(optimal.choice_levels[t][j, e_idx])
-                if li >= 0:
-                    values[list(event.support), li, t] *= z
-
-
 def _as_zfactors(z: ZFactors | Sequence[float] | float) -> ZFactors:
     if isinstance(z, ZFactors):
         return z
@@ -325,52 +305,37 @@ def lp_policy(
     ttd: TravelTimeDistribution,
     optimal: Policy,
     z: ZFactors | Sequence[float] | float,
+    steps: Iterable[int] | None = None,
 ) -> list[Policy]:
-    """Suboptimal policies from final-step inflation of the optimal choices.
+    """Suboptimal policies from inflating the optimal choices.
 
     For each factor, the optimal next link of every non-destination state
-    at the final step is made z times slower (for all realizations in the
-    state's event) and the backward solve is re-run on the modified copy.
-    The original event tree remains valid because whole events are scaled
-    together.
+    at the given steps (default: the final step) is made z times slower
+    (for all realizations in the state's event) and the backward solve is
+    re-run on the modified copy.  The original event tree remains valid
+    because whole events are scaled together.  Inflating any step before
+    the final one requires strictly time-increasing travel times; without
+    that the re-optimized policy may beat the one it perturbs.
     """
-    factors = _as_zfactors(z)
-    tree = optimal.tree
     T = ttd.horizon_steps
-    out = []
-    for zv in factors.z:
-        values = ttd.copy_values()
-        _inflate(values, tree, optimal, zv, (T,), ttd.destination)
-        modified = round_to_grid(ttd.replace_values(values))
-        out.append(_run_dot_spi(modified, tree, ttd.destination, PolicyKind.suboptimal(zv)))
-    return out
-
-
-def lp_policy_arbitrary(
-    ttd: TravelTimeDistribution,
-    optimal: Policy,
-    z: ZFactors | Sequence[float] | float,
-    steps: Iterable[int],
-) -> list[Policy]:
-    """Final-step inflation generalized to arbitrary steps.
-
-    Requires strictly time-increasing travel times; without that the
-    re-optimized policy may beat the one it perturbs.
-    """
-    if not check_monotone(ttd):
+    steps = [T] if steps is None else sorted(set(int(s) for s in steps))
+    if any(s < 1 or s > T for s in steps):
+        raise ValidationError("modification steps must lie on the grid")
+    if any(s < T for s in steps) and not check_monotone(ttd):
         raise MonotonicityRequired(
             "inflating interior steps needs strictly increasing travel times"
         )
-    steps = sorted(set(int(s) for s in steps))
-    T = ttd.horizon_steps
-    if any(s < 1 or s > T for s in steps):
-        raise ValidationError("modification steps must lie on the grid")
-    factors = _as_zfactors(z)
     tree = optimal.tree
+    d_idx = optimal.node_index[ttd.destination]
     out = []
-    for zv in factors.z:
+    for zv in _as_zfactors(z).z:
         values = ttd.copy_values()
-        _inflate(values, tree, optimal, zv, steps, ttd.destination)
+        for t in steps:
+            for e_idx, event in enumerate(tree.events_at(t)):
+                for j in range(len(optimal.nodes)):
+                    li = int(optimal.choice_levels[t][j, e_idx])
+                    if j != d_idx and li >= 0:
+                        values[list(event.support), li, t] *= zv
         modified = round_to_grid(ttd.replace_values(values))
         out.append(_run_dot_spi(modified, tree, ttd.destination, PolicyKind.suboptimal(zv)))
     return out

@@ -121,6 +121,24 @@ def test_prefix_distances_accumulate():
     assert d[:, 3] == pytest.approx([1.5, 2.5])
 
 
+@settings(max_examples=30, deadline=None)
+@given(links=st.sampled_from([7, 8, 36]), seed=st.integers(0, 2**32 - 1))
+def test_prefix_distances_sum_as_the_chronological_loader(links, seed):
+    """Bit for bit the distances ``po_ltm`` accumulates a step at a time,
+    each step's link sum taken along a contiguous links-last row, which
+    numpy sums pairwise from eight links on."""
+    rng = np.random.default_rng(seed)
+    R, T = 3, 40
+    defining = rng.uniform(1.0, 100.0, (R, links, T + 1))
+    info = rng.uniform(1.0, 100.0, (links, T + 1))
+    d = prefix_distances(defining, info)
+    running = np.zeros(R)
+    for t in range(1, T + 1):
+        if t >= 2:
+            running += np.abs(defining[:, :, t - 1] - info[:, t - 1]).sum(axis=1)
+        assert d[:, t].tobytes() == running.tobytes(), t
+
+
 def test_pick_nearest_first_minimum():
     ttd = _two_row_ttd([2, 2, 2], [4, 4, 4])
     tree = generate_events(ttd)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ def test_policy_incidence_maps_nodes_to_links(diamond):
             assert any(
                 l.from_node == node for l in net.links if l.id == link_id
             )
+
+
+def test_diverge_with_a_subnormal_branch_warns_nothing(diamond):
+    # the other branch's total is subnormal, so the diverge ratio overflows
+    # to inf before `own` clips it
+    net, _ = diamond
+    scn = load_scenario("diamond", net, steps=120)
+    real = scn.realizations[0]
+    mu = np.empty((2, scn.horizon_steps + 1))
+    mu[0], mu[1] = 1.0 - 1e-310, 1e-310
+    ps = PathSet(
+        (("1-2", "2-3", "3-5", "5-6", "6-7"), ("1-2", "2-4", "4-5", "5-6", "6-7")), mu
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = path_ltm(net, ps, real.demand, real.capacity, scn.dt)
+    assert np.all(np.isfinite(res.travel_times))
+    assert res.released == pytest.approx(res.exited + res.vehicles_in_network[-1], abs=1e-6)
 
 
 def test_chronological_diagnostics_conserve(diamond):

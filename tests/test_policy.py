@@ -8,13 +8,13 @@ from sdta import (
     LinkRef,
     MonotonicityRequired,
     TravelTimeDistribution,
+    ValidationError,
     check_monotone,
     dot_spi,
     expected_origin_time,
     generate_events,
     generate_policies,
     lp_policy,
-    lp_policy_arbitrary,
 )
 
 
@@ -173,7 +173,29 @@ def test_inflated_policies_never_beat_optimal():
 def test_arbitrary_step_inflation_needs_increasing_times(parallel3, parallel3_tree):
     optimal = dot_spi(parallel3, parallel3_tree, parallel3.destination)
     with pytest.raises(MonotonicityRequired):
-        lp_policy_arbitrary(parallel3, optimal, 2.0, steps=[2, 3])
+        lp_policy(parallel3, optimal, 2.0, steps=[2, 3])
+
+
+@pytest.mark.parametrize("steps", [[0], [5]])
+def test_inflation_steps_must_lie_on_the_grid(parallel3, parallel3_tree, steps):
+    optimal = dot_spi(parallel3, parallel3_tree, parallel3.destination)
+    with pytest.raises(ValidationError, match="on the grid"):
+        lp_policy(parallel3, optimal, 2.0, steps=steps)
+
+
+def test_final_step_inflation_is_the_default(parallel3, parallel3_tree):
+    # parallel3 is not monotone, so this also shows that inflating the
+    # final step alone never asks for increasing times
+    optimal = dot_spi(parallel3, parallel3_tree, parallel3.destination)
+    explicit = lp_policy(parallel3, optimal, (1.5, 2.0), steps=[4])
+    default = lp_policy(parallel3, optimal, (1.5, 2.0))
+    for a, b in zip(explicit, default, strict=True):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.defining_ttd.values, b.defining_ttd.values)
+        for levels_a, levels_b in ((a.e_levels, b.e_levels), (a.choice_levels, b.choice_levels)):
+            assert len(levels_a) == len(levels_b)
+            for x, y in zip(levels_a, levels_b):
+                np.testing.assert_array_equal(x, y)
 
 
 def test_arbitrary_step_inflation_on_increasing_times():
@@ -190,7 +212,7 @@ def test_arbitrary_step_inflation_on_increasing_times():
     optimal = dot_spi(ttd, tree, 2)
     base = expected_origin_time(optimal, tree, 1)
     for z, steps in ((1.0 + 1e-12, [2]), (3.0, [1, 2, 3, 4])):
-        (variant,) = lp_policy_arbitrary(ttd, optimal, z, steps=steps)
+        (variant,) = lp_policy(ttd, optimal, z, steps=steps)
         assert expected_origin_time(variant, tree, 1) >= base - 1e-9
 
 
