@@ -331,12 +331,13 @@ class _Engine:
             )
             g[:, tu.merge] = np.where(own + other <= rec, own, median)
         if tu.diverge.stop > tu.diverge.start:
-            # routed gaps throttled by the other branch, as `transition_diverge`
+            # routed gaps throttled by the other branch, as `transition_diverge`;
+            # callers ignore overflow, as a subnormal `other` sends the ratio
+            # to inf, which `own` clips
             own = total[:, tu.diverge]
             other = total.take(tu.diverge_other, axis=1)
             rec = ends.take(tu.diverge_receiving, axis=1)
-            with np.errstate(over="ignore"):   # a subnormal `other`; `own` clips the inf
-                ratio = np.where(other > 0.0, rec * own / other, np.inf)
+            ratio = np.where(other > 0.0, rec * own / other, np.inf)
             g[:, tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
         # turn flows: aggregate, then split over commodities by weight as
@@ -473,7 +474,7 @@ def _load_paths(
     if stats is not None:
         stats.time_loops += len(pathsets)
     engine.set_route(route)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             engine.step(t, cum, stats)
         travel = engine.travel_times()
@@ -515,7 +516,8 @@ def _translate_info(
         node_index = policy.node_index
         dest = node_index[ttd.destination]
         head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
-        # per step s: the clock advance over every link in the matched event
+        # per step s: the event nearest to the history before s, the
+        # decision at every node and the clock advance over every link
         event, decision = _decisions(policy, info)
         advance = _expected_advance(ttd, policy.tree.member == event[:, None], dt)
 
@@ -710,7 +712,7 @@ def po_ltm(
 
     if stats is not None:
         stats.time_loops += len(reals)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if t >= 2:
                 running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])

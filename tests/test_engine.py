@@ -218,7 +218,7 @@ def test_path_loading_conserves_with_monotone_curves(demand, scale, share, stric
     engine = _Engine(turns, [real.capacity], DT, STEPS, 2, strict)
     cum = _prefix_demand(real.demand, mu)[np.newaxis]
     engine.set_route(turns.path_routes(ROUTES, DIAMOND)[np.newaxis])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # as the loaders
         for t in range(1, STEPS + 1):
             engine.step(t, cum)
     assert np.all(np.diff(engine.curves, axis=-1) >= 0.0)
