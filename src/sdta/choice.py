@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateChoiceSet, ValidationError
 from .events import EventTree
-from .policy import Policy, expected_origin_time
+from .policy import Policy, expected_origin_times
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,7 @@ def utilities(
     T = policies[0].horizon_steps
     if any(p.horizon_steps != T for p in policies):
         raise ValidationError("policies disagree on the horizon")
-    out = np.empty((len(policies), T + 1))
-    for w, policy in enumerate(policies):
-        for t in range(1, T + 1):
-            out[w, t] = params.kappa * expected_origin_time(policy, tree, t)
+    out = params.kappa * np.stack([expected_origin_times(p, tree) for p in policies])
     out[:, 0] = out[:, 1]
     return out
 

@@ -18,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__
@@ -223,8 +222,7 @@ def cmd_load(args) -> int:
     t0 = time.perf_counter()
     _write_ttd(out, ttd)
     _write_splits(out, splits)
-    report = {"time_loops": stats.time_loops, "translations": stats.translations,
-              "node_updates": stats.node_updates}
+    report = dataclasses.asdict(stats)
     (out / "summary.json").write_text(json.dumps(report, indent=2) + "\n")
     t_write = time.perf_counter() - t0
     _write_manifest(out, "load", config,
@@ -281,9 +279,7 @@ def cmd_bench(args) -> int:
                   dataclasses.replace(config, loader=name), stats)
             best = min(best, time.perf_counter() - t0)
         timings[name] = best
-        counters[name] = {"time_loops": stats.time_loops,
-                          "translations": stats.translations,
-                          "node_updates": stats.node_updates}
+        counters[name] = dataclasses.asdict(stats)
     report = {
         "chrono_s": timings["chrono"],
         "iter_s": timings["iter"],
@@ -318,7 +314,7 @@ def cmd_sweep(args) -> int:
         w.writerow(["z", "t", "eta_optimal"])
         for zv, t, eta in rows:
             w.writerow([_fmt(zv), t, _fmt(eta)])
-    _write_manifest(out, "sweep", None,
+    _write_manifest(out, "sweep", dataclasses.replace(base, z=tuple(args.z_values)),
                     {"network": net_path, "scenario": scn_path},
                     {"sweep": t_sweep})
     print(f"wrote {out / 'sweep.csv'}")

@@ -24,7 +24,7 @@ from .events import (
 )
 from .loading import LoaderStats, iterative_loading, po_ltm
 from .network import Network
-from .policy import Policy, ZFactors, expected_origin_time, generate_policies
+from .policy import Policy, ZFactors, expected_origin_times, generate_policies
 from .scenario import Scenario, perturbed
 
 LOADERS = ("chrono", "iter")
@@ -179,18 +179,17 @@ def average_expected_time(
 ) -> float:
     """Mean over departure steps of the optimal policy's expected origin time."""
     tree = tree if tree is not None else result.tree
-    optimal = result.optimal_policy
-    T = optimal.defining_ttd.horizon_steps
-    total = sum(expected_origin_time(optimal, tree, t) for t in range(1, T + 1))
-    return total / T
+    times = expected_origin_times(result.optimal_policy, tree)[1:]
+    return sum(times.tolist()) / times.size
 
 
 def expected_times_at(result: EquilibriumResult, steps: Sequence[int]) -> np.ndarray:
     """Optimal-policy expected origin time at selected departure steps."""
-    optimal = result.optimal_policy
-    return np.array(
-        [expected_origin_time(optimal, result.tree, int(s)) for s in steps]
-    )
+    times = expected_origin_times(result.optimal_policy, result.tree)
+    steps = np.array(steps, dtype=np.int64)
+    if np.any((steps < 1) | (steps >= times.size)):
+        raise ValidationError(f"a departure step is off the grid 1..{times.size - 1}")
+    return times[steps]
 
 
 def monte_carlo_std(

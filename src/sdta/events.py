@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -153,20 +153,33 @@ class Event:
 
 
 class EventTree:
-    """Per-step partitions of the realizations, refining over time."""
+    """Per-step partitions of the realizations, refining over time.
+
+    Each event of steps 1..T owns one column of a per-event table, level 0
+    reusing level 1's: realization r's event at step t is column
+    ``start[t] + member[t, r]``, of step ``level_of`` and mass ``masses``.
+    """
 
     def __init__(self, levels: Sequence[Sequence[Event]], probabilities: np.ndarray):
         self.levels = tuple(tuple(level) for level in levels)  # index 1..T, [0] mirrors [1]
         self.probabilities = np.asarray(probabilities, dtype=float)
         R = self.probabilities.size
         member = np.full((len(self.levels), R), -1, dtype=np.int64)
+        masses = []
         for t, level in enumerate(self.levels):
             for e_idx, event in enumerate(level):
                 for r in event.support:
                     member[t, r] = e_idx
+                if t >= 1:
+                    masses.append(self.mass(event))
         if np.any(member[1:] < 0):
             raise ValidationError("levels must partition all realizations")
         self.member = member
+        sizes = np.array([len(level) for level in self.levels[1:]], dtype=np.int64)
+        start = np.cumsum(sizes) - sizes
+        self.start = np.concatenate([start[:1], start])
+        self.level_of = np.repeat(np.arange(1, len(self.levels)), sizes)
+        self.masses = np.array(masses)
 
     @property
     def horizon_steps(self) -> int:

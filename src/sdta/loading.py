@@ -565,17 +565,10 @@ def _translate_info(
 def _decisions(policy: Policy, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The event nearest to the history before every step, (T+1,), and the
     policy's decision at every node under it, (T+1, nodes)."""
+    tree = policy.tree
     distances = prefix_distances(policy.defining_ttd.values, info)
-    event = nearest_events(policy.tree.member, distances.T)
-    columns, start = _side_by_side(policy.choice_levels)
-    return event, columns[:, start + event].T
-
-
-def _side_by_side(levels: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step tables (rows, events of step t) as one table, and the column
-    where each step's table starts."""
-    sizes = np.array([level.shape[1] for level in levels])
-    return np.concatenate(levels, axis=1), np.cumsum(sizes) - sizes
+    event = nearest_events(tree.member, distances.T)
+    return event, policy.choices[:, tree.start + event].T
 
 
 def _expected_advance(ttd: TravelTimeDistribution, inside: np.ndarray, dt: float) -> np.ndarray:
@@ -686,10 +679,9 @@ def po_ltm(
     shares = np.vstack([splits.row(p.label) for p in policies])
     defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
     member = np.stack([p.tree.member for p in policies])             # (K, T+1, R')
-    # every policy's out-link slot (or -1) at each diverge under each event
-    # of each step, one row per (policy, step, event); policy k's step-t
-    # events start at row first[k, t].  A slot table's last column answers
-    # the decision -1.
+    # every policy's out-link slot (or -1) at each diverge under each event,
+    # one row per (policy, event column); policy k's step-t events start at
+    # row first[k, t].  A slot table's last column answers the decision -1.
     diverge = np.arange(len(turns.diverge_nodes))[:, None]
     tables, first, width = [], [], 0
     for policy in policies:
@@ -698,11 +690,10 @@ def po_ltm(
         for d, outs in enumerate(turns.diverge_outs):
             for side, link in enumerate(outs):
                 slot[d, ids.index(network.links[link].id)] = side
-        columns, start = _side_by_side(policy.choice_levels)
         rows = [policy.node_index[n] for n in turns.diverge_nodes]
-        tables.append(slot[diverge, columns[rows]])
-        first.append(start + width)
-        width += columns.shape[1]
+        tables.append(slot[diverge, policy.choices[rows]])
+        first.append(policy.tree.start + width)
+        width += policy.choices.shape[1]
     routes, first = np.hstack(tables).T, np.array(first)
     reals = scenario.realizations
     engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)

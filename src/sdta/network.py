@@ -9,7 +9,7 @@ five archetypes so the loader node models stay closed-form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Mapping
 

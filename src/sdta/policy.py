@@ -52,23 +52,24 @@ class PolicyKind:
 
 
 class Policy:
-    """Next-link decision tables plus expected times for every state."""
+    """Expected times (``values``) and next-link positions (``choices``, -1
+    for none) for every state: one row per node, one column per event."""
 
     def __init__(
         self,
         kind: PolicyKind,
         defining_ttd: TravelTimeDistribution,
         tree: EventTree,
-        e_levels: Sequence[np.ndarray],
-        choice_levels: Sequence[np.ndarray],
+        values: np.ndarray,
+        choices: np.ndarray,
         nodes: Sequence[NodeId],
         sentinel: float,
     ):
         self.kind = kind
         self.defining_ttd = defining_ttd
         self.tree = tree
-        self.e_levels = tuple(e_levels)
-        self.choice_levels = tuple(choice_levels)
+        self.values = values
+        self.choices = choices
         self.nodes = tuple(nodes)
         self.node_index = {n: i for i, n in enumerate(nodes)}
         self.sentinel = sentinel
@@ -79,26 +80,22 @@ class Policy:
 
     @property
     def horizon_steps(self) -> int:
-        return len(self.e_levels) - 1
+        return self.tree.horizon_steps
 
-    def _state(self, node: NodeId, t: int, event: Event) -> tuple[int, int, int]:
-        T = self.horizon_steps
-        t = max(1, min(int(t), T))
-        e_idx = int(self.tree.member[t, event.support[0]])
-        return self.node_index[node], t, e_idx
+    def _state(self, node: NodeId, t: int, event: Event) -> tuple[int, int]:
+        tree = self.tree
+        t = max(1, min(int(t), tree.horizon_steps))
+        return self.node_index[node], int(tree.start[t] + tree.member[t, event.support[0]])
 
     def expected_time(self, node: NodeId, t: int, event: Event) -> float:
-        j, t, e_idx = self._state(node, t, event)
-        return float(self.e_levels[t][j, e_idx])
+        return float(self.values[self._state(node, t, event)])
 
     def next_link(self, node: NodeId, t: int, event: Event) -> str | None:
-        j, t, e_idx = self._state(node, t, event)
-        li = int(self.choice_levels[t][j, e_idx])
+        li = int(self.choices[self._state(node, t, event)])
         return None if li < 0 else self.defining_ttd.links[li].id
 
     def next_node(self, node: NodeId, t: int, event: Event) -> NodeId:
-        j, t, e_idx = self._state(node, t, event)
-        li = int(self.choice_levels[t][j, e_idx])
+        li = int(self.choices[self._state(node, t, event)])
         if li < 0:
             return node if node == self.defining_ttd.destination else None
         return self.defining_ttd.links[li].to_node
@@ -112,8 +109,9 @@ class Policy:
         links = self.defining_ttd.links
         for t in range(1, self.horizon_steps + 1):
             for e_idx, event in enumerate(self.tree.events_at(t)):
+                column = int(self.tree.start[t]) + e_idx
                 for j, node in enumerate(self.nodes):
-                    li = int(self.choice_levels[t][j, e_idx])
+                    li = int(self.choices[j, column])
                     rows.append(
                         (
                             node,
@@ -121,7 +119,7 @@ class Policy:
                             event.support,
                             links[li].to_node if li >= 0 else node,
                             links[li].id if li >= 0 else "",
-                            float(self.e_levels[t][j, e_idx]),
+                            float(self.values[j, column]),
                         )
                     )
         return rows
@@ -226,10 +224,10 @@ def _run_dot_spi(
     d_idx = node_index[dest]
 
     e_T, choice_T = horizon_shortest(ttd, tree, dest)
-    e_levels: list[np.ndarray | None] = [None] * (T + 1)
-    choice_levels: list[np.ndarray | None] = [None] * (T + 1)
-    e_levels[T] = e_T
-    choice_levels[T] = choice_T
+    step_values: list[np.ndarray | None] = [None] * (T + 1)
+    step_choices: list[np.ndarray | None] = [None] * (T + 1)
+    step_values[T] = e_T
+    step_choices[T] = choice_T
 
     vals = ttd.values.tolist()
     steps = ttd.steps.tolist()
@@ -269,12 +267,11 @@ def _run_dot_spi(
                 e_now[j][e_idx] = best
                 c_now[j][e_idx] = best_li
         e_list[t] = e_now
-        e_levels[t] = np.array(e_now)
-        choice_levels[t] = np.array(c_now, dtype=np.int64)
+        step_values[t] = np.array(e_now)
+        step_choices[t] = np.array(c_now, dtype=np.int64)
 
-    e_levels[0] = e_levels[1] if T > 1 else e_levels[T]
-    choice_levels[0] = choice_levels[1] if T > 1 else choice_levels[T]
-    return Policy(kind, ttd, tree, e_levels, choice_levels, nodes, sentinel)
+    return Policy(kind, ttd, tree, np.hstack(step_values[1:]), np.hstack(step_choices[1:]),
+                  nodes, sentinel)
 
 
 def dot_spi(ttd: TravelTimeDistribution, tree: EventTree, dest: NodeId) -> Policy:
@@ -326,33 +323,35 @@ def lp_policy(
             "inflating interior steps needs strictly increasing travel times"
         )
     tree = optimal.tree
-    d_idx = optimal.node_index[ttd.destination]
+    steps = np.array(steps, dtype=np.int64)
+    # the optimal link of every (node, step, realization): the destination's
+    # is -1, and a link leaves one node only, so no entry is inflated twice
+    choice = optimal.choices[:, tree.start[steps, None] + tree.member[steps]]
+    j, at, r = np.nonzero(choice >= 0)
+    inflated = (r, choice[j, at, r], steps[at])
     out = []
     for zv in _as_zfactors(z).z:
         values = ttd.copy_values()
-        for t in steps:
-            for e_idx, event in enumerate(tree.events_at(t)):
-                for j in range(len(optimal.nodes)):
-                    li = int(optimal.choice_levels[t][j, e_idx])
-                    if j != d_idx and li >= 0:
-                        values[list(event.support), li, t] *= zv
+        values[inflated] *= zv
         modified = round_to_grid(ttd.replace_values(values))
         out.append(_run_dot_spi(modified, tree, ttd.destination, PolicyKind.suboptimal(zv)))
     return out
 
 
+def expected_origin_times(policy: Policy, tree: EventTree) -> np.ndarray:
+    """Expected time to destination for an origin departure at every step,
+    marginalized over that step's events; shape (T+1,), entry 0 unused.
+    ``bincount`` adds a step's events one by one, as a running sum does."""
+    origin = policy.values[policy.node_index[policy.defining_ttd.origin]]
+    return np.bincount(tree.level_of, tree.masses * origin, tree.horizon_steps + 1)
+
+
 def expected_origin_time(policy: Policy, tree: EventTree, t: int) -> float:
-    """Expected time to destination for an origin departure at step t,
-    marginalized over the step-t events."""
+    """``expected_origin_times`` at one departure step t."""
     T = policy.horizon_steps
     if not 1 <= t <= T:
         raise ValidationError(f"departure step {t} is off the grid 1..{T}")
-    o_idx = policy.node_index[policy.defining_ttd.origin]
-    level = tree.events_at(t)
-    total = 0.0
-    for e_idx, event in enumerate(level):
-        total += tree.mass(event) * float(policy.e_levels[t][o_idx, e_idx])
-    return total
+    return float(expected_origin_times(policy, tree)[t])
 
 
 def generate_policies(

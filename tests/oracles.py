@@ -2,15 +2,16 @@
 
 Everything here is written independently of the package internals: brute
 force enumeration, plain label setting, frozensets instead of event trees.
-Keep it slow and obvious.  The one exception, ``translate_walk``, is the
-program's former scalar policy-to-path walk, kept as the reference for the
-batched one and built only on the scalar ``pick_nearest``.
+Keep it slow and obvious.  The exceptions are former scalar versions of
+the program's array code, kept as its references: ``translate_walk``, the
+policy-to-path walk built only on the scalar ``pick_nearest``, and the
+per-event loops ``expected_origin_time_loop`` and ``inflated_values``,
+which read policies one state at a time through ``Policy``'s lookups.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -163,6 +164,31 @@ def tdsp_value(ttd: TravelTimeDistribution, r: int) -> float:
     return v[(ttd.origin, 1)]
 
 
+def expected_origin_time_loop(policy, tree, t: int) -> float:
+    """Expected origin time at step t as a running sum over the step's
+    events, one ``mass * expected time`` at a time (the program's former
+    per-event loop)."""
+    origin = policy.defining_ttd.origin
+    total = 0.0
+    for event in tree.events_at(t):
+        total += tree.mass(event) * policy.expected_time(origin, t, event)
+    return total
+
+
+def inflated_values(ttd: TravelTimeDistribution, optimal, z: float, steps) -> np.ndarray:
+    """Travel times with the optimal link of every non-destination state at
+    the given steps made z times slower, for all realizations of the
+    state's event: the program's former (step, event, node) loop."""
+    values = ttd.copy_values()
+    for t in steps:
+        for event in optimal.tree.events_at(t):
+            for node in optimal.nodes:
+                via = optimal.next_link(node, t, event)
+                if node != ttd.destination and via is not None:
+                    values[list(event.support), ttd.link_index[via], t] *= z
+    return values
+
+
 def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
     """Policy-to-path translation, one walk per policy and departure step.
 
@@ -182,7 +208,6 @@ def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
     accumulators = {}
     for w, policy in enumerate(policies):
         tree = policy.tree
-        node_index = policy.node_index
         probs = policy.defining_ttd.probabilities
         vals = policy.defining_ttd.values
         eta = splits.row(policy.label)
@@ -198,11 +223,12 @@ def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
                 event = level[0] if len(level) == 1 else pick_nearest(
                     level, dist_by_policy[w][:, s]
                 )
-                li = int(policy.choice_levels[s][node_index[node], tree.member[s, event.support[0]]])
-                if li < 0:
+                via = policy.next_link(node, s, event)
+                if via is None:
                     raise NonTerminatingTranslation(
                         f"policy {policy.label} has no route from node {node}"
                     )
+                li = ttd0.link_index[via]
                 support = list(event.support)
                 weights = probs[support]
                 expected = float(weights @ vals[support, li, s] / weights.sum())

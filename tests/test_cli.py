@@ -164,6 +164,18 @@ def test_sweep_over_perturbation_factors(tmp_path):
     assert zs == {"1.5", "2"}
 
 
+def test_sweep_manifest_records_the_config(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(
+        "sweep", "twolinks", "twolinks", "--loader", "iter",
+        "--steps", "40", "--iters", "1", "--inner-iters", "1",
+        "--z-values", "1.5", "3.0", "--out", str(out),
+    ) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["loader"] == "iter"
+    assert config["z"] == [1.5, 3.0]
+
+
 def test_unknown_fixture_name_is_exit_2():
     assert run("validate", "not-a-fixture") == 2
 

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import load_scenario
 from sdta import (
-    ChoiceParams,
     SolverConfig,
     SplitSchedule,
     ValidationError,

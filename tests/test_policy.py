@@ -192,10 +192,8 @@ def test_final_step_inflation_is_the_default(parallel3, parallel3_tree):
     for a, b in zip(explicit, default, strict=True):
         assert a.label == b.label
         np.testing.assert_array_equal(a.defining_ttd.values, b.defining_ttd.values)
-        for levels_a, levels_b in ((a.e_levels, b.e_levels), (a.choice_levels, b.choice_levels)):
-            assert len(levels_a) == len(levels_b)
-            for x, y in zip(levels_a, levels_b):
-                np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.choices, b.choices)
 
 
 def test_arbitrary_step_inflation_on_increasing_times():

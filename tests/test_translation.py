@@ -129,9 +129,9 @@ def hand_built(links, decisions, T=4):
     ttd = TravelTimeDistribution(np.ones((1, len(refs), T + 1)), 1.0, np.array([1.0]),
                                  refs, 1, 3, grid_rounded=True)
     nodes = (1, 2, 3)
-    table = np.array([[decisions.get(n, -1)] for n in nodes], dtype=np.int64)
+    choices = np.array([[decisions.get(n, -1)] * T for n in nodes], dtype=np.int64)
     policy = Policy(PolicyKind.optimal(), ttd, generate_events(ttd),
-                    [np.zeros((3, 1))] * (T + 1), [table] * (T + 1), nodes, 1e9)
+                    np.zeros((3, T)), choices, nodes, 1e9)
     splits = SplitSchedule(np.ones((1, T + 1)), (policy.label,))
     return [policy], splits, ttd
 
