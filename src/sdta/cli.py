@@ -18,11 +18,10 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from . import __version__
 from .choice import splits_for
 from .equilibrium import (
+    LOADERS,
     SolverConfig,
     _load,
     average_expected_time,
@@ -30,9 +29,9 @@ from .equilibrium import (
 )
 from .errors import ParseError, SdtaError, ValidationError
 from .events import free_flow_distribution, parse_ttd
-from .fixtures import FIXTURES, fixture_path
+from .fixtures import fixture_path
 from .loading import LoaderStats
-from .network import parse_network
+from .network import parse_network, read_mapping
 from .policy import generate_policies
 from .scenario import parse_scenario
 
@@ -42,28 +41,28 @@ EXIT_RUNTIME = 4
 
 
 def _resolve(arg: str, kind: str) -> Path:
-    """A literal path, or a fixture name (twolinks, diamond, sf, twosf)."""
-    p = Path(arg)
-    if p.exists():
-        return p
-    if arg in FIXTURES:
-        net_file, scn_file = FIXTURES[arg]
-        return fixture_path(net_file if kind == "network" else scn_file)
-    raise ParseError(f"no such file or fixture: {arg}")
+    """A literal path, or the name of a packaged ``<name>.<kind>.yaml``
+    fixture: twolinks, diamond, sf or twosf for a network ("net") or a
+    scenario ("scn"), parallel3 for a distribution ("ttd")."""
+    path = Path(arg)
+    if path.exists():
+        return path
+    try:
+        return fixture_path(f"{arg}.{kind}.yaml")
+    except FileNotFoundError:
+        raise ParseError(f"no such file or fixture: {arg}") from None
 
 
 def _read_network(arg: str):
-    path = _resolve(arg, "network")
-    return path, parse_network(path.read_text())
+    path = _resolve(arg, "net")
+    return path, parse_network(path)
 
 
 def _read_scenario(arg: str, network, steps_override: int | None):
-    path = _resolve(arg, "scenario")
-    doc = yaml.safe_load(path.read_text())
+    path = _resolve(arg, "scn")
+    doc = read_mapping(path)
     if steps_override is not None:
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: scenario root must be a mapping")
-        doc["steps"] = int(steps_override)
+        doc = {**doc, "steps": steps_override}
     return path, parse_scenario(doc, network)
 
 
@@ -72,15 +71,13 @@ def _digest(path: Path) -> str:
 
 
 def _config_from(args) -> SolverConfig:
-    z = tuple(args.z) if args.z is not None else (1.5, 2.0)
+    z = SolverConfig.z if args.z is None else tuple(args.z)
     if args.policies is not None:
         if args.policies < 1:
             raise ValidationError("--policies must be at least 1")
         if args.z is None:
-            defaults = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
-            if args.policies - 1 > len(defaults):
-                raise ValidationError("give --z explicitly for that many policies")
-            z = defaults[: args.policies - 1]
+            # --policies N alone takes N - 1 factors from 1.5 in steps of 0.5
+            z = tuple(1.0 + 0.5 * k for k in range(1, args.policies))
         elif len(z) != args.policies - 1:
             raise ValidationError("--policies disagrees with the --z list length")
     return SolverConfig(
@@ -235,14 +232,9 @@ def cmd_load(args) -> int:
 def cmd_policies(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
-    path = Path(args.ttd)
-    if not path.exists() and args.ttd == "parallel3":
-        path = fixture_path("parallel3.ttd.yaml")
-    if not path.exists():
-        raise ParseError(f"no such file: {args.ttd}")
-    ttd = parse_ttd(path.read_text())
-    z = tuple(args.z) if args.z is not None else (1.5, 2.0)
-    policies, tree = generate_policies(ttd, z)
+    path = _resolve(args.ttd, "ttd")
+    ttd = parse_ttd(path)
+    policies, _ = generate_policies(ttd, args.z)
     t_gen = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -270,10 +262,10 @@ def cmd_bench(args) -> int:
 
     timings = {}
     counters = {}
-    for name in ("chrono", "iter"):
+    for name in LOADERS:
         best = float("inf")
-        stats = LoaderStats()
         for _ in range(max(1, args.repeat)):
+            stats = LoaderStats()
             t0 = time.perf_counter()
             _load(network, policies, splits, scenario,
                   dataclasses.replace(config, loader=name), stats)
@@ -281,8 +273,7 @@ def cmd_bench(args) -> int:
         timings[name] = best
         counters[name] = dataclasses.asdict(stats)
     report = {
-        "chrono_s": timings["chrono"],
-        "iter_s": timings["iter"],
+        **{f"{name}_s": seconds for name, seconds in timings.items()},
         "speedup": timings["iter"] / timings["chrono"],
         "counters": counters,
         "k_inner": config.k_inner,
@@ -290,7 +281,7 @@ def cmd_bench(args) -> int:
     (out / "bench.json").write_text(json.dumps(report, indent=2) + "\n")
     _write_manifest(out, "bench", config,
                     {"network": net_path, "scenario": scn_path},
-                    {"chrono": timings["chrono"], "iter": timings["iter"]})
+                    timings)
     print(json.dumps(report))
     return 0
 
@@ -321,20 +312,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:
-        p.add_argument("network", help="network file or fixture name")
-        p.add_argument("scenario", help="scenario file or fixture name")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("network", help="network file or fixture name")
+    p.add_argument("scenario", help="scenario file or fixture name")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--loader", choices=("chrono", "iter"), default="chrono")
+    p.add_argument("--loader", choices=LOADERS, default=SolverConfig.loader)
     p.add_argument("--policies", type=int, default=None,
                    help="number of policies (optimal plus suboptimal)")
     p.add_argument("--z", type=float, nargs="+", default=None,
                    help="perturbation factors, one per suboptimal policy")
-    p.add_argument("--kappa", type=float, default=-0.01)
-    p.add_argument("--iters", type=int, default=50, help="max outer iterations")
-    p.add_argument("--inner-iters", type=int, default=5)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
+    p.add_argument("--iters", type=int, default=SolverConfig.k_outer,
+                   help="max outer iterations")
+    p.add_argument("--inner-iters", type=int, default=SolverConfig.k_inner)
+    p.add_argument("--eps", type=float, default=SolverConfig.convergence_eps)
     p.add_argument("--strict-origin", action="store_true",
                    help="drop unserved origin demand instead of queueing it")
     p.add_argument("--steps", type=int, default=None,
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("policies", help="dump policy tables for a distribution")
     p.add_argument("ttd", help="travel time distribution file or 'parallel3'")
     p.add_argument("--out", default="results")
-    p.add_argument("--z", type=float, nargs="+", default=None)
+    p.add_argument("--z", type=float, nargs="+", default=SolverConfig.z)
     p.set_defaults(func=cmd_policies)
 
     p = sub.add_parser("bench", help="time the two loaders on equal inputs")
@@ -389,12 +380,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except yaml.YAMLError as err:
-        print(f"error: invalid document: {err}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

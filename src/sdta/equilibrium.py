@@ -32,9 +32,12 @@ LOADERS = ("chrono", "iter")
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings; the one definition of their defaults, which the
+    command line reads too."""
+
     k_outer: int = 50
     z: tuple[float, ...] = (1.5, 2.0)
-    kappa: float = -0.01
+    kappa: float = ChoiceParams.kappa
     loader: str = "chrono"
     k_inner: int = 5
     convergence_eps: float = 1e-3
@@ -158,10 +161,9 @@ def msa_solve(
             IterationRecord(l, splits, delta, time.perf_counter() - started)
         )
         prev_splits = splits
-        if prev_splits is not None and not math.isnan(delta):
-            if delta < config.convergence_eps:
-                converged = True
-                break
+        if not math.isnan(delta) and delta < config.convergence_eps:
+            converged = True
+            break
 
     return EquilibriumResult(
         final_ttd=current,
@@ -174,12 +176,9 @@ def msa_solve(
     )
 
 
-def average_expected_time(
-    result: EquilibriumResult, tree: EventTree | None = None
-) -> float:
+def average_expected_time(result: EquilibriumResult) -> float:
     """Mean over departure steps of the optimal policy's expected origin time."""
-    tree = tree if tree is not None else result.tree
-    times = expected_origin_times(result.optimal_policy, tree)[1:]
+    times = expected_origin_times(result.optimal_policy, result.tree)[1:]
     return sum(times.tolist()) / times.size
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .errors import ParseError, ProbabilityMassError, ValidationError
-from .network import Network, NodeId
+from .network import Document, Network, NodeId, reachable, read_mapping, shaped
 from .scenario import PROB_TOL, Scenario, parse_array, parse_number
 
 
@@ -162,6 +161,8 @@ class EventTree:
 
     def __init__(self, levels: Sequence[Sequence[Event]], probabilities: np.ndarray):
         self.levels = tuple(tuple(level) for level in levels)  # index 1..T, [0] mirrors [1]
+        if len(self.levels) < 2 or self.levels[0] != self.levels[1]:
+            raise ValidationError("level 0 must repeat level 1")
         self.probabilities = np.asarray(probabilities, dtype=float)
         R = self.probabilities.size
         member = np.full((len(self.levels), R), -1, dtype=np.int64)
@@ -341,34 +342,35 @@ def nearest_event(
     return level[int(nearest_events(tree.member[t], upto))]
 
 
-def parse_ttd(document: str | Mapping[str, Any]) -> TravelTimeDistribution:
-    """Read a travel time distribution document (topology plus values)."""
-    if isinstance(document, str):
-        try:
-            document = yaml.safe_load(document)
-        except yaml.YAMLError as err:
-            raise ParseError(f"invalid document: {err}") from err
-    if not isinstance(document, Mapping):
-        raise ParseError("document root must be a mapping")
-    try:
-        dt = parse_number(document["dt_s"], "dt_s")
-        steps = parse_number(document["steps"], "steps", int)
-        links = [
-            LinkRef(str(e["id"]), e["from"], e["to"]) for e in document["links"]
-        ]
-        origin = document["origin"]
-        destination = document["destination"]
-        raw = document["realizations"]
-    except KeyError as err:
-        raise ParseError(f"missing required field {err}") from None
+def parse_ttd(document: Document) -> TravelTimeDistribution:
+    """Read a travel time distribution document (topology plus values), whose
+    destination must be reachable from its origin."""
+    document = read_mapping(document)
+    dt = parse_number(document.get("dt_s"), "dt_s")
+    steps = parse_number(document.get("steps"), "steps", int)
+    links = []
+    for e in shaped(document.get("links"), "a list", "links"):
+        e = shaped(e, "a mapping", "link entry")
+        links.append(LinkRef(str(shaped(e.get("id"), "an id", "link id")),
+                             shaped(e.get("from"), "an id", "link from"),
+                             shaped(e.get("to"), "an id", "link to")))
+    origin = shaped(document.get("origin"), "an id", "origin")
+    destination = shaped(document.get("destination"), "an id", "destination")
+    raw = shaped(document.get("realizations"), "a list", "realizations")
     if steps < 1:
         raise ValidationError("steps must be at least 1")
+    if destination not in reachable(links, origin):
+        raise ValidationError(
+            f"destination {destination} cannot be reached from origin {origin}"
+        )
 
     probs = []
     values = np.empty((len(raw), len(links), steps + 1))
     for r, item in enumerate(raw):
-        probs.append(parse_number(item["prob"], f"realization {r} prob"))
-        times = item["times"]
+        item = shaped(item, "a mapping", f"realization {r}")
+        probs.append(parse_number(item.get("prob"), f"realization {r} prob"))
+        times = shaped(item.get("times"), "a mapping", f"realization {r} times")
+        times = {str(link_id): series for link_id, series in times.items()}
         for i, link in enumerate(links):
             if link.id not in times:
                 raise ParseError(f"realization {r}: missing times for link {link.id}")

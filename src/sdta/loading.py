@@ -594,7 +594,7 @@ def iterative_loading(
     policies: Sequence[Policy],
     splits: SplitSchedule,
     scenario: Scenario,
-    k_inner: int = 5,
+    k_inner: int,
     *,
     strict_origin: bool = False,
     stats: LoaderStats | None = None,

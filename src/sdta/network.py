@@ -9,15 +9,18 @@ five archetypes so the loader node models stay closed-form.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping
+from pathlib import Path
+from typing import Any
 
 import yaml
 
 from .errors import ParseError, UnsupportedNodeType, ValidationError
 
 NodeId = int | str
+Document = str | Path | Mapping[str, Any]  # a file, YAML text or a loaded mapping
 
 
 def node_sort_key(node: NodeId):
@@ -143,14 +146,17 @@ def classify_node(network: Network, node: NodeId) -> NodeKind:
         ) from None
 
 
-def _reachable(network: Network, start: NodeId, forward: bool) -> set[NodeId]:
-    adjacency = network.out_links if forward else network.in_links
+def reachable(links, start: NodeId, forward: bool = True) -> set[NodeId]:
+    """Nodes reached from ``start`` along ``links`` (anything with
+    ``from_node`` and ``to_node``), or against them when not ``forward``."""
+    adjacency: dict[NodeId, list[NodeId]] = {}
+    for l in links:
+        tail, head = (l.from_node, l.to_node) if forward else (l.to_node, l.from_node)
+        adjacency.setdefault(tail, []).append(head)
     seen = {start}
     stack = [start]
     while stack:
-        node = stack.pop()
-        for l in adjacency[node]:
-            nxt = l.to_node if forward else l.from_node
+        for nxt in adjacency.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -183,8 +189,8 @@ def validate(network: Network) -> list[str]:
             if len(given) == 2 and abs(sum(given) - 1.0) > 1e-9:
                 out.append(f"node {node}: merge priorities {given} do not sum to 1")
 
-    fwd = _reachable(network, network.origin, forward=True)
-    bwd = _reachable(network, network.destination, forward=False)
+    fwd = reachable(network.links, network.origin)
+    bwd = reachable(network.links, network.destination, forward=False)
     for node in network.nodes:
         if node not in fwd:
             out.append(f"node {node}: not reachable from the origin")
@@ -193,18 +199,36 @@ def validate(network: Network) -> list[str]:
     return out
 
 
-def _as_mapping(document: str | Mapping[str, Any]) -> Mapping[str, Any]:
+def read_mapping(document: Document) -> Mapping[str, Any]:
+    """The root mapping of a document.  Every parser reads its document here:
+    an unreadable file (missing, a directory, not UTF-8), invalid YAML or a
+    root of another shape is a ParseError."""
+    if isinstance(document, Path):
+        try:
+            document = document.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ParseError(f"cannot read {document}: {err}") from None
     if isinstance(document, str):
         try:
             document = yaml.safe_load(document)
         except yaml.YAMLError as err:
             raise ParseError(f"invalid document: {err}") from err
-    if not isinstance(document, Mapping):
-        raise ParseError("document root must be a mapping")
-    return document
+    return shaped(document, "a mapping", "document root")
 
 
-def _normalized_merge_priorities(nodes, links: list[LinkSpec]) -> list[LinkSpec]:
+_SHAPES = {"a mapping": Mapping, "a list": (list, tuple), "an id": (int, str)}
+
+
+def shaped(value: Any, shape: str, what: str) -> Any:
+    """``value`` when it has ``shape`` (a key of ``_SHAPES``), or a ParseError
+    naming ``what``.  A missing field reads as None, which has no shape."""
+    if not isinstance(value, _SHAPES[shape]):
+        got = "nothing" if value is None else type(value).__name__
+        raise ParseError(f"{what} must be {shape}, got {got}")
+    return value
+
+
+def _normalized_merge_priorities(links: list[LinkSpec]) -> list[LinkSpec]:
     # Default 0.5 per incoming link at a merge; a single given value fixes
     # its partner to the complement, two given values are normalized.
     by_head: dict[NodeId, list[int]] = {}
@@ -232,16 +256,13 @@ def _normalized_merge_priorities(nodes, links: list[LinkSpec]) -> list[LinkSpec]
     return out
 
 
-def parse_network(document: str | Mapping[str, Any]) -> Network:
-    """Parse and validate a network document (YAML text or mapping)."""
-    doc = _as_mapping(document)
-    try:
-        nodes = tuple(doc["nodes"])
-        raw_links = doc["links"]
-        origin = doc["origin"]
-        destination = doc["destination"]
-    except KeyError as err:
-        raise ParseError(f"missing required field {err}") from None
+def parse_network(document: Document) -> Network:
+    """Parse and validate a network document."""
+    doc = read_mapping(document)
+    nodes = tuple(shaped(n, "an id", "node") for n in shaped(doc.get("nodes"), "a list", "nodes"))
+    raw_links = shaped(doc.get("links"), "a list", "links")
+    origin = shaped(doc.get("origin"), "an id", "origin")
+    destination = shaped(doc.get("destination"), "an id", "destination")
     if not raw_links:
         raise ValidationError("no route from origin: the links list is empty")
 
@@ -250,9 +271,9 @@ def parse_network(document: str | Mapping[str, Any]) -> Network:
         try:
             links.append(
                 LinkSpec(
-                    id=str(item["id"]),
-                    from_node=item["from"],
-                    to_node=item["to"],
+                    id=str(shaped(item["id"], "an id", "link id")),
+                    from_node=shaped(item["from"], "an id", "link from"),
+                    to_node=shaped(item["to"], "an id", "link to"),
                     length=float(item["length_m"]),
                     free_flow_speed=float(item["vf_mps"]),
                     backward_wave_speed=float(item["w_mps"]),
@@ -269,7 +290,7 @@ def parse_network(document: str | Mapping[str, Any]) -> Network:
 
     network = Network(
         nodes=nodes,
-        links=tuple(_normalized_merge_priorities(nodes, links)),
+        links=tuple(_normalized_merge_priorities(links)),
         origin=origin,
         destination=destination,
     )

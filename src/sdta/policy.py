@@ -355,14 +355,11 @@ def expected_origin_time(policy: Policy, tree: EventTree, t: int) -> float:
 
 
 def generate_policies(
-    ttd: TravelTimeDistribution,
-    z: ZFactors | Sequence[float],
-    tree: EventTree | None = None,
+    ttd: TravelTimeDistribution, z: ZFactors | Sequence[float]
 ) -> tuple[list[Policy], EventTree]:
     """Round, build the event tree, and produce optimal + suboptimal policies."""
     rounded = ttd if ttd.grid_rounded else round_to_grid(ttd)
-    if tree is None:
-        tree = generate_events(rounded)
+    tree = generate_events(rounded)
     optimal = dot_spi(rounded, tree, rounded.destination)
     policies = [optimal]
     factors = _as_zfactors(z)

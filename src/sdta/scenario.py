@@ -12,10 +12,9 @@ from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
-import yaml
 
 from .errors import ParseError, ProbabilityMassError, ValidationError
-from .network import Network
+from .network import Document, Network, read_mapping, shaped
 
 PROB_TOL = 1e-9
 
@@ -75,17 +74,13 @@ class Scenario:
     def n_realizations(self) -> int:
         return len(self.realizations)
 
-    @property
-    def horizon_seconds(self) -> float:
-        return self.horizon_steps * self.dt
-
 
 def parse_number(value: Any, what: str, kind: Callable[[Any], Any] = float) -> Any:
     """``kind(value)``, or a ParseError naming ``what`` when the document
     holds something else there (text, a list for a number, ...)."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{what}: expected a number, got {value!r}") from None
 
 
@@ -98,7 +93,20 @@ def _bounds(spec: Any, what: str) -> tuple[float, float]:
     bounds = parse_array(spec, f"{what} uniform bounds")
     if bounds.shape != (2,):
         raise ParseError(f"{what}: uniform needs [low, high]")
-    return float(bounds[0]), float(bounds[1])
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not -np.inf < lo <= hi < np.inf:
+        raise ValidationError(f"{what}: uniform bounds must be finite, low <= high")
+    return lo, hi
+
+
+def _rng(spec: Mapping, what: str) -> np.random.Generator:
+    """The generator of a random series, from its explicit seed."""
+    if "seed" not in spec:
+        raise ParseError(f"{what}: random series needs an explicit seed")
+    seed = parse_number(spec["seed"], f"{what} seed", int)
+    if seed < 0:
+        raise ValidationError(f"{what}: seed must be non-negative")
+    return np.random.default_rng(seed)
 
 
 def _generate_series(spec: Any, steps: int, what: str) -> np.ndarray:
@@ -115,17 +123,15 @@ def _generate_series(spec: Any, steps: int, what: str) -> np.ndarray:
         return np.full(steps, parse_number(spec["constant"], what))
     if "uniform" in spec:
         lo, hi = _bounds(spec["uniform"], what)
-        if "seed" not in spec:
-            raise ParseError(f"{what}: uniform series needs an explicit seed")
-        rng = np.random.default_rng(parse_number(spec["seed"], f"{what} seed", int))
-        return rng.uniform(lo, hi, size=steps)
+        return _rng(spec, what).uniform(lo, hi, size=steps)
     if "segments" in spec:
-        if "seed" not in spec:
-            raise ParseError(f"{what}: segmented series needs an explicit seed")
-        rng = np.random.default_rng(parse_number(spec["seed"], f"{what} seed", int))
+        rng = _rng(spec, what)
         parts: list[np.ndarray] = []
-        for seg in spec["segments"]:
-            n = parse_number(seg["steps"], f"{what} segment steps", int)
+        for j, seg in enumerate(shaped(spec["segments"], "a list", f"{what} segments")):
+            seg = shaped(seg, "a mapping", f"{what} segment {j}")
+            n = parse_number(seg.get("steps"), f"{what} segment {j} steps", int)
+            if n < 0:
+                raise ValidationError(f"{what}: segment {j} steps must be non-negative")
             if "uniform" in seg:
                 lo, hi = _bounds(seg["uniform"], what)
                 parts.append(rng.uniform(lo, hi, size=n))
@@ -139,7 +145,7 @@ def _generate_series(spec: Any, steps: int, what: str) -> np.ndarray:
         if values.size < steps:
             raise ParseError(f"{what}: segments cover {values.size} steps, expected {steps}")
         return values[:steps]
-    raise ParseError(f"{what}: unknown series spec {sorted(spec)}")
+    raise ParseError(f"{what}: unknown series spec {list(spec)}")
 
 
 def _with_zero_head(series: np.ndarray, head: float | None = None) -> np.ndarray:
@@ -150,25 +156,14 @@ def _with_zero_head(series: np.ndarray, head: float | None = None) -> np.ndarray
     return out
 
 
-def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scenario:
+def parse_scenario(document: Document, network: Network) -> Scenario:
     """Parse a scenario document and bind it to a network."""
-    if isinstance(document, str):
-        try:
-            document = yaml.safe_load(document)
-        except yaml.YAMLError as err:
-            raise ParseError(f"invalid document: {err}") from err
-    if not isinstance(document, Mapping):
-        raise ParseError("document root must be a mapping")
-    try:
-        dt = parse_number(document["dt_s"], "dt_s")
-        steps = parse_number(document["steps"], "steps", int)
-        raw = document["realizations"]
-    except KeyError as err:
-        raise ParseError(f"missing required field {err}") from None
+    document = read_mapping(document)
+    dt = parse_number(document.get("dt_s"), "dt_s")
+    steps = parse_number(document.get("steps"), "steps", int)
+    raw = shaped(document.get("realizations"), "a list", "realizations")
     if not (np.isfinite(dt) and dt > 0) or steps < 1:
         raise ValidationError("dt must be positive and steps at least 1")
-    if not isinstance(raw, (list, tuple)):
-        raise ParseError("realizations must be a list")
 
     warnings: list[str] = []
     for link in network.links:
@@ -180,18 +175,11 @@ def parse_scenario(document: str | Mapping[str, Any], network: Network) -> Scena
 
     realizations: list[Realization] = []
     for i, item in enumerate(raw):
-        if not isinstance(item, Mapping):
-            raise ParseError(f"realization {i} must be a mapping")
-        try:
-            prob = parse_number(item["prob"], f"realization {i} prob")
-            demand_spec = item["demand"]
-            capacity_spec = item.get("capacity", {})
-        except KeyError as err:
-            raise ParseError(f"realization {i}: missing field {err}") from None
-        if not isinstance(capacity_spec, Mapping):
-            raise ParseError(f"realization {i}: capacity must map link ids to series")
+        item = shaped(item, "a mapping", f"realization {i}")
+        prob = parse_number(item.get("prob"), f"realization {i} prob")
+        capacity_spec = shaped(item.get("capacity", {}), "a mapping", f"realization {i} capacity")
 
-        demand_hourly = _generate_series(demand_spec, steps, f"realization {i} demand")
+        demand_hourly = _generate_series(item.get("demand"), steps, f"realization {i} demand")
         demand = _with_zero_head(demand_hourly * dt / 3600.0, head=0.0)
 
         capacity: dict[str, np.ndarray] = {}

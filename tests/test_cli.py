@@ -140,6 +140,17 @@ def test_bench_reports_both_loaders(tmp_path, capsys):
     assert report["chrono_s"] > 0.0 and report["iter_s"] > 0.0
 
 
+def test_bench_reports_one_loads_counters(tmp_path, capsys):
+    counters = []
+    for repeat in ("1", "3"):
+        assert run(
+            "bench", "twolinks", "twolinks", "--steps", "40", "--inner-iters", "2",
+            "--repeat", repeat, "--out", str(tmp_path / repeat),
+        ) == 0
+        counters.append(json.loads(capsys.readouterr().out)["counters"])
+    assert counters[0] == counters[1]
+
+
 def test_policies_command_dumps_decision_table(tmp_path):
     out = tmp_path / "pol"
     assert run("policies", "parallel3", "--out", str(out)) == 0
@@ -258,3 +269,111 @@ def test_non_numeric_ttd_field_is_exit_2(tmp_path, capsys, field):
     ttd.write_text(yaml.safe_dump(doc))
     assert run("policies", str(ttd), "--out", str(tmp_path / "out")) == 2
     assert "expected a number" in capsys.readouterr().err
+
+
+# Any document that cannot be read, or whose fields have the wrong shape, is
+# a parse error (exit 2) with an "error:" line.
+
+def _edited(tmp_path, fixture: str, edit) -> str:
+    doc = yaml.safe_load(Path(fixture_path(fixture)).read_text())
+    edit(doc)
+    path = tmp_path / fixture
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def _ttd(edit):
+    return lambda tmp: ["policies", _edited(tmp, "parallel3.ttd.yaml", edit),
+                        "--out", str(tmp / "out")]
+
+
+def _network(edit):
+    return lambda tmp: ["validate", _edited(tmp, "twolinks.net.yaml", edit)]
+
+
+def _demand(demand):
+    edit = lambda doc: doc["realizations"][0].update(demand=demand)
+    return lambda tmp: ["validate", "twolinks", _edited(tmp, "twolinks.scn.yaml", edit)]
+
+
+def _not_utf8(tmp):
+    path = tmp / "latin1.yaml"
+    path.write_bytes("nodes: [caf\xe9]\n".encode("latin-1"))
+    return ["validate", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    _ttd(lambda doc: doc.update(realizations=5)),
+    _ttd(lambda doc: doc.update(realizations=[5])),
+    _ttd(lambda doc: doc.update(links=5)),
+    _ttd(lambda doc: doc["realizations"][0].pop("times")),
+    _network(lambda doc: doc.update(nodes=5)),
+    _network(lambda doc: doc.update(links=5)),
+    _demand({"segments": 5, "seed": 1}),
+    _demand({"segments": [5], "seed": 1}),
+    lambda tmp: ["validate", str(tmp)],
+    lambda tmp: ["policies", str(tmp), "--out", str(tmp / "out")],
+    _not_utf8,
+], ids=[
+    "ttd-realizations-a-number", "ttd-realization-a-number", "ttd-links-a-number",
+    "ttd-realization-without-times", "network-nodes-a-number",
+    "network-links-a-number", "scenario-segments-a-number",
+    "scenario-segment-a-number", "validate-a-directory", "policies-a-directory",
+    "not-utf8",
+])
+def test_unreadable_or_misshapen_document_is_exit_2(tmp_path, capsys, argv):
+    assert run(*argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unreachable_ttd_destination_is_exit_3(tmp_path, capsys):
+    cut = _ttd(lambda doc: doc.update(links=[l for l in doc["links"] if l["id"] != "a"]))
+    assert run(*cut(tmp_path)) == 3
+    assert "cannot be reached" in capsys.readouterr().err
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a document, taking the first entry of each list."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc[:1])
+    else:
+        children = ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _variants(doc):
+    """Copies of ``doc`` with one field removed or replaced by a wrong value."""
+    for path in list(_paths(doc))[1:]:
+        for value in (None, 5, -1, 1.5, float("inf"), "abc", [5], {"a": 1}):
+            copy = yaml.safe_load(yaml.safe_dump(doc))
+            parent = copy
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, copy
+
+
+@pytest.mark.parametrize("fixture, command", [
+    ("twolinks.net.yaml", ["validate", "{doc}"]),
+    ("twolinks.scn.yaml", ["validate", "twolinks", "{doc}"]),
+    ("parallel3.ttd.yaml", ["policies", "{doc}", "--out", "{out}"]),
+])
+def test_damaged_field_is_never_an_internal_error(tmp_path, capsys, fixture, command):
+    doc = yaml.safe_load(Path(fixture_path(fixture)).read_text())
+    path = tmp_path / fixture
+    argv = [a.format(doc=path, out=tmp_path / "out") for a in command]
+    internal = []
+    for field, variant in _variants(doc):
+        path.write_text(yaml.safe_dump(variant))
+        code = run(*argv)
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3):
+            internal.append((field, code, err))
+    assert not internal

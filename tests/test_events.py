@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sdta import (
     Event,
+    EventTree,
     LinkRef,
     TravelTimeDistribution,
     ValidationError,
@@ -200,3 +201,19 @@ def test_nearest_events_sum_as_numpy(members, distances):
 
 def test_level_zero_mirrors_level_one(parallel3_tree):
     assert parallel3_tree.events_at(0) == parallel3_tree.events_at(1)
+
+
+def test_event_tree_rejects_level_zero_unlike_level_one():
+    # realization 1's step-0 column would name a step-2 event
+    levels = [[Event((0,), 0), Event((1,), 0)], [Event((0, 1), 1)],
+              [Event((0,), 2), Event((1,), 2)]]
+    with pytest.raises(ValidationError, match="level 0"):
+        EventTree(levels, [0.5, 0.5])
+
+
+def test_ttd_links_may_have_integer_ids():
+    ttd = parse_ttd("dt_s: 1.0\nsteps: 2\norigin: 1\ndestination: 2\n"
+                    "links: [{id: 7, from: 1, to: 2}]\n"
+                    "realizations: [{prob: 1.0, times: {7: [1, 2]}}]\n")
+    assert ttd.links[0].id == "7"
+    assert ttd.values[0, 0, 1:].tolist() == [1.0, 2.0]
