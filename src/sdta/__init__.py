@@ -74,11 +74,8 @@ from .kernels import (
     link_travel_time,
     receiving_flow,
     sending_flow,
-    transition_destination,
     transition_diverge,
-    transition_inhomogeneous,
     transition_merge,
-    transition_origin,
 )
 from .loading import (
     LoaderStats,
@@ -124,8 +121,7 @@ __all__ = [
     "utilities",
     "CumulativeCurve", "LinkState", "disaggregate", "interp", "inverse",
     "link_travel_time", "receiving_flow", "sending_flow",
-    "transition_destination", "transition_diverge",
-    "transition_inhomogeneous", "transition_merge", "transition_origin",
+    "transition_diverge", "transition_merge",
     "LoaderStats", "LoadResult", "PathSet", "iterative_loading",
     "link_policy_incidence", "path_ltm", "po_ltm", "single_route_pathset",
     "translate",

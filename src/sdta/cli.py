@@ -2,9 +2,11 @@
 
 Subcommands: validate inputs, solve the equilibrium, run a single load,
 dump policy tables, benchmark the two loaders, and sweep the perturbation
-factor.  Results land in a directory with a manifest recording the config,
-input digests, version and stage timings; result tables are
-deterministic so reruns are byte-identical.
+factor.  Each command reads its inputs, computes, and only then writes its
+results directory, so a command that fails leaves none behind.  The
+directory holds a manifest recording the config, input digests, version
+and stage timings; result tables are deterministic so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .choice import splits_for
@@ -53,21 +56,20 @@ def _resolve(arg: str, kind: str) -> Path:
         raise ParseError(f"no such file or fixture: {arg}") from None
 
 
-def _read_network(arg: str):
-    path = _resolve(arg, "net")
-    return path, parse_network(path)
-
-
-def _read_scenario(arg: str, network, steps_override: int | None):
-    path = _resolve(arg, "scn")
-    doc = read_mapping(path)
-    if steps_override is not None:
-        doc = {**doc, "steps": steps_override}
-    return path, parse_scenario(doc, network)
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _inputs(args, solver: bool = True):
+    """The network, the scenario with ``--steps`` applied (None if no
+    scenario is named), the solver config (None unless ``solver``) and the
+    input paths for the manifest."""
+    paths = {"network": _resolve(args.network, "net")}
+    network = parse_network(paths["network"])
+    scenario = None
+    if args.scenario is not None:
+        paths["scenario"] = _resolve(args.scenario, "scn")
+        doc = read_mapping(paths["scenario"])
+        if args.steps is not None:
+            doc = {**doc, "steps": args.steps}
+        scenario = parse_scenario(doc, network)
+    return network, scenario, _config_from(args) if solver else None, paths
 
 
 def _config_from(args) -> SolverConfig:
@@ -91,68 +93,71 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _write_manifest(out: Path, command: str, config: SolverConfig | None,
-                    inputs: dict[str, Path], timings: dict[str, float]) -> None:
+def _write_run(args, command: str, config: SolverConfig | None,
+               inputs: dict[str, Path], timings: dict[str, float],
+               tables: Sequence[tuple] = (), report: tuple[str, dict] | None = None,
+               time_write: bool = True) -> int:
+    """Create ``--out``, write the command's tables, its JSON report and the
+    manifest, print the report (or where the first table went) and return
+    the exit code 0.
+
+    Commands call this last, once their work has succeeded, so a failed
+    command leaves no directory.  Each table is a file name, a header and
+    an iterable of rows, which streams to disk.  The seconds spent on
+    tables and report are the "write" timing when ``time_write`` is set.
+    """
+    t0 = time.perf_counter()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        with (out / name).open("w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+    if report is not None:
+        (out / report[0]).write_text(json.dumps(report[1], indent=2) + "\n")
+    if time_write:
+        timings = {**timings, "write": time.perf_counter() - t0}
     manifest = {
         "command": command,
         "version": __version__,
         "config": None if config is None else dataclasses.asdict(config),
-        "inputs": {name: {"path": str(p), "sha256": _digest(p)}
+        "inputs": {name: {"path": str(p),
+                          "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
                    for name, p in inputs.items()},
         "timing_s": {k: round(v, 6) for k, v in timings.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    print(json.dumps(report[1]) if report else f"wrote {out / tables[0][0]}")
+    return 0
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
 
 
-def _write_splits(out: Path, splits) -> None:
-    with (out / "splits.csv").open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["policy", "t", "eta"])
-        for label in splits.labels:
-            row = splits.row(label)
-            for t in range(1, splits.horizon_steps + 1):
-                w.writerow([label, t, _fmt(row[t])])
+def _split_rows(splits):
+    for label in splits.labels:
+        row = splits.row(label)
+        for t in range(1, splits.horizon_steps + 1):
+            yield [label, t, _fmt(row[t])]
 
 
-def _write_ttd(out: Path, ttd, name: str = "travel_times.csv") -> None:
-    with (out / name).open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["realization", "link", "t", "seconds"])
-        for r in range(ttd.n_realizations):
-            for i, link in enumerate(ttd.links):
-                for t in range(1, ttd.horizon_steps + 1):
-                    w.writerow([r, link.id, t, _fmt(ttd.values[r, i, t])])
-
-
-def _write_trace(out: Path, trace) -> None:
-    with (out / "trace.csv").open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["l", "policy", "t", "eta", "delta", "ms"])
-        for rec in trace:
-            delta = "" if rec.delta != rec.delta else _fmt(rec.delta)
-            ms = _fmt(rec.seconds * 1000.0)
-            for label in rec.splits.labels:
-                row = rec.splits.row(label)
-                for t in range(1, rec.splits.horizon_steps + 1):
-                    w.writerow([rec.iteration, label, t, _fmt(row[t]), delta, ms])
+def _result_tables(splits, ttd) -> list[tuple]:
+    """The final splits and travel times, as ``_write_run`` tables."""
+    ttd_rows = ([r, link.id, t, _fmt(ttd.values[r, i, t])]
+                for r in range(ttd.n_realizations)
+                for i, link in enumerate(ttd.links)
+                for t in range(1, ttd.horizon_steps + 1))
+    return [("splits.csv", ["policy", "t", "eta"], _split_rows(splits)),
+            ("travel_times.csv", ["realization", "link", "t", "seconds"], ttd_rows)]
 
 
 def cmd_validate(args) -> int:
-    _, network = _read_network(args.network)
+    network, scenario, _, _ = _inputs(args, solver=False)
     report = {"network": "ok", "links": len(network.links),
               "nodes": len(network.nodes)}
-    if args.scenario is not None:
-        _, scenario = _read_scenario(args.scenario, network, args.steps)
+    if scenario is not None:
         report["scenario"] = "ok"
         report["realizations"] = scenario.n_realizations
         report["steps"] = scenario.horizon_steps
@@ -162,21 +167,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
     t0 = time.perf_counter()
-    net_path, network = _read_network(args.network)
-    scn_path, scenario = _read_scenario(args.scenario, network, args.steps)
-    config = _config_from(args)
+    network, scenario, config, inputs = _inputs(args)
     t_parse = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     result = msa_solve(network, scenario, config)
     t_solve = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    _write_splits(out, result.final_splits)
-    _write_ttd(out, result.final_ttd)
-    _write_trace(out, result.trace)
     summary = {
         "iterations": result.iterations,
         "converged": result.converged,
@@ -184,15 +182,15 @@ def cmd_solve(args) -> int:
         else result.final_delta,
         "average_expected_time_s": average_expected_time(result),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    t_write = time.perf_counter() - t0
-    _write_manifest(
-        out, "solve", config,
-        {"network": net_path, "scenario": scn_path},
-        {"parse": t_parse, "solve": t_solve, "write": t_write},
-    )
-    print(json.dumps(summary))
-    return 0
+    trace_rows = ([rec.iteration, *row,
+                   "" if rec.delta != rec.delta else _fmt(rec.delta),
+                   _fmt(rec.seconds * 1000.0)]
+                  for rec in result.trace for row in _split_rows(rec.splits))
+    tables = [*_result_tables(result.final_splits, result.final_ttd),
+              ("trace.csv", ["l", "policy", "t", "eta", "delta", "ms"], trace_rows)]
+    return _write_run(args, "solve", config, inputs,
+                      {"parse": t_parse, "solve": t_solve},
+                      tables, ("summary.json", summary))
 
 
 def _policies_on_free_flow(network, scenario, config):
@@ -203,11 +201,8 @@ def _policies_on_free_flow(network, scenario, config):
 
 
 def cmd_load(args) -> int:
-    out = _out_dir(args)
     t0 = time.perf_counter()
-    net_path, network = _read_network(args.network)
-    scn_path, scenario = _read_scenario(args.scenario, network, args.steps)
-    config = _config_from(args)
+    network, scenario, config, inputs = _inputs(args)
     t_parse = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -216,48 +211,28 @@ def cmd_load(args) -> int:
     ttd = _load(network, policies, splits, scenario, config, stats)
     t_load = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    _write_ttd(out, ttd)
-    _write_splits(out, splits)
-    report = dataclasses.asdict(stats)
-    (out / "summary.json").write_text(json.dumps(report, indent=2) + "\n")
-    t_write = time.perf_counter() - t0
-    _write_manifest(out, "load", config,
-                    {"network": net_path, "scenario": scn_path},
-                    {"parse": t_parse, "load": t_load, "write": t_write})
-    print(json.dumps(report))
-    return 0
+    return _write_run(args, "load", config, inputs,
+                      {"parse": t_parse, "load": t_load},
+                      _result_tables(splits, ttd),
+                      ("summary.json", dataclasses.asdict(stats)))
 
 
 def cmd_policies(args) -> int:
-    out = _out_dir(args)
     t0 = time.perf_counter()
     path = _resolve(args.ttd, "ttd")
-    ttd = parse_ttd(path)
-    policies, _ = generate_policies(ttd, args.z)
+    policies, _ = generate_policies(parse_ttd(path), args.z)
     t_gen = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with (out / "policies.csv").open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["policy", "node", "t", "support", "next_node", "via_link",
-                    "expected_s"])
-        for policy in policies:
-            for node, t, support, nxt, via, e in policy.export_rows():
-                sup = "|".join(str(s) for s in support)
-                w.writerow([policy.label, node, t, sup, nxt, via, _fmt(e)])
-    t_write = time.perf_counter() - t0
-    _write_manifest(out, "policies", None, {"ttd": path},
-                    {"generate": t_gen, "write": t_write})
-    print(f"wrote {out / 'policies.csv'}")
-    return 0
+    rows = ([policy.label, node, t, "|".join(map(str, support)), nxt, via, _fmt(e)]
+            for policy in policies
+            for node, t, support, nxt, via, e in policy.export_rows())
+    header = ["policy", "node", "t", "support", "next_node", "via_link", "expected_s"]
+    return _write_run(args, "policies", None, {"ttd": path}, {"generate": t_gen},
+                      [("policies.csv", header, rows)])
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
-    net_path, network = _read_network(args.network)
-    scn_path, scenario = _read_scenario(args.scenario, network, args.steps)
-    config = _config_from(args)
+    network, scenario, config, inputs = _inputs(args)
     policies, tree, splits = _policies_on_free_flow(network, scenario, config)
 
     timings = {}
@@ -278,38 +253,24 @@ def cmd_bench(args) -> int:
         "counters": counters,
         "k_inner": config.k_inner,
     }
-    (out / "bench.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out, "bench", config,
-                    {"network": net_path, "scenario": scn_path},
-                    timings)
-    print(json.dumps(report))
-    return 0
+    return _write_run(args, "bench", config, inputs, timings,
+                      report=("bench.json", report), time_write=False)
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    net_path, network = _read_network(args.network)
-    scn_path, scenario = _read_scenario(args.scenario, network, args.steps)
-    base = _config_from(args)
+    network, scenario, base, inputs = _inputs(args)
     t0 = time.perf_counter()
     rows = []
     for zv in args.z_values:
         result = msa_solve(network, scenario, dataclasses.replace(base, z=(zv,)))
         optimal_row = result.final_splits.row(result.final_policies[0].label)
         for t in range(1, result.final_splits.horizon_steps + 1):
-            rows.append((zv, t, optimal_row[t]))
+            rows.append([_fmt(zv), t, _fmt(optimal_row[t])])
     t_sweep = time.perf_counter() - t0
 
-    with (out / "sweep.csv").open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["z", "t", "eta_optimal"])
-        for zv, t, eta in rows:
-            w.writerow([_fmt(zv), t, _fmt(eta)])
-    _write_manifest(out, "sweep", dataclasses.replace(base, z=tuple(args.z_values)),
-                    {"network": net_path, "scenario": scn_path},
-                    {"sweep": t_sweep})
-    print(f"wrote {out / 'sweep.csv'}")
-    return 0
+    return _write_run(args, "sweep", dataclasses.replace(base, z=tuple(args.z_values)),
+                      inputs, {"sweep": t_sweep},
+                      [("sweep.csv", ["z", "t", "eta_optimal"], rows)], time_write=False)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -383,7 +344,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
-        for item in getattr(err, "violations", ()):
+        for item in err.violations:
             print(f"  - {item}", file=sys.stderr)
         return EXIT_VALIDATION
     except SdtaError as err:

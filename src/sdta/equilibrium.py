@@ -179,7 +179,7 @@ def msa_solve(
 def average_expected_time(result: EquilibriumResult) -> float:
     """Mean over departure steps of the optimal policy's expected origin time."""
     times = expected_origin_times(result.optimal_policy, result.tree)[1:]
-    return sum(times.tolist()) / times.size
+    return float(np.cumsum(times)[-1]) / times.size
 
 
 def expected_times_at(result: EquilibriumResult, steps: Sequence[int]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Sequence
+
 
 class SdtaError(Exception):
     """Base class for all errors raised by this package."""
@@ -12,12 +14,13 @@ class ParseError(SdtaError):
 class ValidationError(SdtaError):
     """Parsed input violates a structural invariant.
 
-    ``violations`` carries one human-readable message per problem found.
+    ``violations`` lists one human-readable message per problem when the
+    message sums up several; it is empty when the message says it all.
     """
 
-    def __init__(self, message: str, violations: list[str] | None = None):
+    def __init__(self, message: str, violations: Sequence[str] = ()):
         super().__init__(message)
-        self.violations = list(violations or [message])
+        self.violations = list(violations)
 
 
 class UnsupportedNodeType(ValidationError):

@@ -142,18 +142,6 @@ def receiving_flow(link: LinkState, t: int) -> float:
     return max(0.0, min(gap, cap))
 
 
-def transition_origin(demand_released: float, receiving: float) -> float:
-    return max(0.0, min(demand_released, receiving))
-
-
-def transition_destination(sending: float) -> float:
-    return sending
-
-
-def transition_inhomogeneous(sending: float, receiving: float) -> float:
-    return min(sending, receiving)
-
-
 def transition_merge(
     s_a: float, s_b: float, receiving: float, priority_a: float
 ) -> tuple[float, float]:

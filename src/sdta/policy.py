@@ -174,10 +174,10 @@ def horizon_shortest(
     for li, link in enumerate(ttd.links):
         incoming[node_index[link.to_node]].append((node_index[link.from_node], li))
 
+    masses = tree.masses[tree.start[T]:]
     for e_idx, event in enumerate(level):
         support = list(event.support)
-        weights = ttd.probabilities[support]
-        weights = weights / weights.sum()
+        weights = ttd.probabilities[support] / masses[e_idx]
         cost = weights @ ttd.values[support, :, T]  # per-link expected cost
 
         dist = [sentinel] * len(nodes)
@@ -233,6 +233,8 @@ def _run_dot_spi(
     steps = ttd.steps.tolist()
     member = tree.member.tolist()
     probs = ttd.probabilities.tolist()
+    masses = tree.masses.tolist()
+    start = tree.start.tolist()
     e_list: list[list[list[float]] | None] = [None] * (T + 1)
     e_list[T] = e_T.tolist()
 
@@ -242,7 +244,7 @@ def _run_dot_spi(
         c_now = [[-1] * len(level) for _ in nodes]
         for e_idx, event in enumerate(level):
             support = event.support
-            mass = sum(probs[r] for r in support)
+            mass = masses[start[t] + e_idx]
             for j in range(len(nodes)):
                 if j == d_idx:
                     e_now[j][e_idx] = 0.0

@@ -50,6 +50,10 @@ def test_invalid_network_is_exit_3(tmp_path, capsys):
         "  - {id: b, from: 3, to: 2, length_m: 100, vf_mps: 10, w_mps: 5, kjam_veh_per_m: 0.2}\n"
     )
     assert run("validate", str(doc)) == 3
+    # a message that sums up several problems lists them one per line
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: invalid network"
+    assert len(lines) > 1 and all(line.startswith("  - ") for line in lines[1:])
 
 
 def test_solve_writes_result_tables(tmp_path):
@@ -326,10 +330,34 @@ def test_unreadable_or_misshapen_document_is_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _cut_ttd(tmp):
+    """The parallel3 distribution without link a: its destination is unreachable."""
+    return _edited(tmp, "parallel3.ttd.yaml",
+                   lambda doc: doc.update(links=[l for l in doc["links"] if l["id"] != "a"]))
+
+
 def test_unreachable_ttd_destination_is_exit_3(tmp_path, capsys):
-    cut = _ttd(lambda doc: doc.update(links=[l for l in doc["links"] if l["id"] != "a"]))
-    assert run(*cut(tmp_path)) == 3
-    assert "cannot be reached" in capsys.readouterr().err
+    assert run("policies", _cut_ttd(tmp_path), "--out", str(tmp_path / "out")) == 3
+    # one message, printed once
+    assert capsys.readouterr().err.count("cannot be reached") == 1
+
+
+@pytest.mark.parametrize("fault, code", [("missing", 2), ("invalid", 3)])
+@pytest.mark.parametrize("command", ["solve", "load", "bench", "sweep", "policies"])
+def test_failed_command_leaves_no_out_directory(tmp_path, command, fault, code):
+    missing = str(tmp_path / "missing.yaml")
+    if command == "policies":
+        argv = ["policies", missing if fault == "missing" else _cut_ttd(tmp_path)]
+    else:
+        argv = [command, "twolinks", missing if fault == "missing" else "twolinks",
+                "--steps", "20", "--iters", "1"]
+        if fault == "invalid":
+            argv += ["--kappa", "1"]
+        if command == "sweep":
+            argv += ["--z-values", "1.5"]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == code
+    assert not out.exists()
 
 
 def _paths(doc, prefix=()):

@@ -14,7 +14,6 @@ from sdta import (
     sending_flow,
     transition_diverge,
     transition_merge,
-    transition_origin,
 )
 
 
@@ -54,11 +53,6 @@ class TestDiverge:
     def test_zero_component_decouples(self):
         got = transition_diverge(0.0, 5.0, 3.0, 4.0)
         assert got == pytest.approx((0.0, 4.0))
-
-
-def test_origin_release_is_capped():
-    assert transition_origin(3.0, 2.0) == pytest.approx(2.0)
-    assert transition_origin(1.5, 2.0) == pytest.approx(1.5)
 
 
 def test_disaggregation_is_proportional_and_conservative():
