@@ -41,9 +41,7 @@ from .events import (
     free_flow_distribution,
     generate_events,
     links_of,
-    nearest_event,
     parse_ttd,
-    pick_nearest,
     prefix_distances,
     round_to_grid,
 )
@@ -68,7 +66,6 @@ from .choice import (
 from .kernels import (
     CumulativeCurve,
     LinkState,
-    disaggregate,
     interp,
     inverse,
     link_travel_time,
@@ -82,7 +79,6 @@ from .loading import (
     LoadResult,
     PathSet,
     iterative_loading,
-    link_policy_incidence,
     path_ltm,
     po_ltm,
     single_route_pathset,
@@ -112,19 +108,17 @@ __all__ = [
     "with_realizations",
     "Event", "EventTree", "LinkRef", "TravelTimeDistribution",
     "event_probability", "free_flow_distribution", "generate_events",
-    "links_of", "nearest_event", "parse_ttd", "pick_nearest",
-    "prefix_distances", "round_to_grid",
+    "links_of", "parse_ttd", "prefix_distances", "round_to_grid",
     "Policy", "PolicyKind", "ZFactors", "check_monotone", "dot_spi",
     "expected_origin_time", "generate_policies", "horizon_shortest",
     "lp_policy",
     "ChoiceParams", "SplitSchedule", "logit_splits", "splits_for",
     "utilities",
-    "CumulativeCurve", "LinkState", "disaggregate", "interp", "inverse",
+    "CumulativeCurve", "LinkState", "interp", "inverse",
     "link_travel_time", "receiving_flow", "sending_flow",
     "transition_diverge", "transition_merge",
     "LoaderStats", "LoadResult", "PathSet", "iterative_loading",
-    "link_policy_incidence", "path_ltm", "po_ltm", "single_route_pathset",
-    "translate",
+    "path_ltm", "po_ltm", "single_route_pathset", "translate",
     "EquilibriumResult", "IterationRecord", "SolverConfig",
     "average_expected_time", "convergence_metric", "expected_times_at",
     "monte_carlo_std", "msa_solve",

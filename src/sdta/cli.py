@@ -73,24 +73,27 @@ def _inputs(args, solver: bool = True):
 
 
 def _config_from(args) -> SolverConfig:
-    z = SolverConfig.z if args.z is None else tuple(args.z)
-    if args.policies is not None:
+    """The solver config from the options given; each option's ``dest`` is
+    its field, and fields without one keep their defaults."""
+    given = vars(args)
+    config = {f.name: given[f.name] for f in dataclasses.fields(SolverConfig) if f.name in given}
+    if "policies" in given:
         if args.policies < 1:
             raise ValidationError("--policies must be at least 1")
-        if args.z is None:
+        if "z" not in config:
             # --policies N alone takes N - 1 factors from 1.5 in steps of 0.5
-            z = tuple(1.0 + 0.5 * k for k in range(1, args.policies))
-        elif len(z) != args.policies - 1:
+            config["z"] = tuple(1.0 + 0.5 * k for k in range(1, args.policies))
+        elif len(config["z"]) != args.policies - 1:
             raise ValidationError("--policies disagrees with the --z list length")
-    return SolverConfig(
-        k_outer=args.iters,
-        z=z,
-        kappa=args.kappa,
-        loader=args.loader,
-        k_inner=args.inner_iters,
-        convergence_eps=args.eps,
-        strict_origin=args.strict_origin,
-    )
+    return SolverConfig(**config)
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that cannot become a directory before any work:
+    its nearest existing path must be one."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ParseError(f"--out {out}: {existing} is not a directory")
 
 
 def _write_run(args, command: str, config: SolverConfig | None,
@@ -273,24 +276,33 @@ def cmd_sweep(args) -> int:
                       [("sweep.csv", ["z", "t", "eta_optimal"], rows)], time_write=False)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# options that set solver config fields (``dest``) or, for --policies, the
+# number of z factors; unset ones are left out of the parsed arguments
+SOLVER_OPTIONS = {
+    "--loader": dict(choices=LOADERS),
+    "--policies": dict(type=int, help="number of policies (optimal plus suboptimal)"),
+    "--z": dict(type=float, nargs="+",
+                help="perturbation factors, one per suboptimal policy"),
+    "--kappa": dict(type=float),
+    "--iters": dict(dest="k_outer", type=int, help="max outer iterations"),
+    "--inner-iters": dict(dest="k_inner", type=int),
+    "--eps": dict(dest="convergence_eps", type=float),
+    "--strict-origin": dict(action="store_true",
+                            help="drop unserved origin demand instead of queueing it"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, omit: Sequence[str] = ()) -> None:
+    """Inputs, --out, --steps and the solver options but those in ``omit``,
+    which the command does not read."""
     p.add_argument("network", help="network file or fixture name")
     p.add_argument("scenario", help="scenario file or fixture name")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--loader", choices=LOADERS, default=SolverConfig.loader)
-    p.add_argument("--policies", type=int, default=None,
-                   help="number of policies (optimal plus suboptimal)")
-    p.add_argument("--z", type=float, nargs="+", default=None,
-                   help="perturbation factors, one per suboptimal policy")
-    p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
-    p.add_argument("--iters", type=int, default=SolverConfig.k_outer,
-                   help="max outer iterations")
-    p.add_argument("--inner-iters", type=int, default=SolverConfig.k_inner)
-    p.add_argument("--eps", type=float, default=SolverConfig.convergence_eps)
-    p.add_argument("--strict-origin", action="store_true",
-                   help="drop unserved origin demand instead of queueing it")
     p.add_argument("--steps", type=int, default=None,
                    help="override the scenario horizon")
+    for flag, spec in SOLVER_OPTIONS.items():
+        if flag not in omit:
+            p.add_argument(flag, default=argparse.SUPPRESS, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,35 +311,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Policy-based stochastic dynamic traffic assignment.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # subcommands take whole option names only, so that an option one of
+    # them lacks is an error there, not a prefix of another (--z of --z-values)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a network (and scenario)")
+    p = sub.add_parser("validate", allow_abbrev=False, help="check a network (and scenario)")
     p.add_argument("network")
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--steps", type=int, default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="run the equilibrium solver")
+    p = sub.add_parser("solve", allow_abbrev=False, help="run the equilibrium solver")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("load", help="run one network loading pass")
-    _add_common(p)
+    p = sub.add_parser("load", allow_abbrev=False, help="run one network loading pass")
+    _add_common(p, omit=("--iters", "--eps"))
     p.set_defaults(func=cmd_load)
 
-    p = sub.add_parser("policies", help="dump policy tables for a distribution")
+    p = sub.add_parser("policies", allow_abbrev=False,
+                       help="dump policy tables for a distribution")
     p.add_argument("ttd", help="travel time distribution file or 'parallel3'")
     p.add_argument("--out", default="results")
     p.add_argument("--z", type=float, nargs="+", default=SolverConfig.z)
     p.set_defaults(func=cmd_policies)
 
-    p = sub.add_parser("bench", help="time the two loaders on equal inputs")
-    _add_common(p)
+    p = sub.add_parser("bench", allow_abbrev=False, help="time the two loaders on equal inputs")
+    _add_common(p, omit=("--loader", "--iters", "--eps"))
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("sweep", help="final optimal split per perturbation factor")
-    _add_common(p)
+    p = sub.add_parser("sweep", allow_abbrev=False,
+                       help="final optimal split per perturbation factor")
+    _add_common(p, omit=("--z", "--policies"))
     p.add_argument("--z-values", type=float, nargs="+", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -338,6 +354,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "out" in args:
+            _check_out(Path(args.out))
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -264,38 +264,21 @@ def prefix_distances(defining_values: np.ndarray, info: np.ndarray) -> np.ndarra
     return out
 
 
-def pick_nearest(level: Sequence[Event], distances: np.ndarray) -> Event:
-    """Event minimizing the support-summed distance; ties break on the
-    lowest contained realization index.
-
-    The scalar reference for ``nearest_events``, which the program uses.
-    """
-    best = None
-    best_key = None
-    for event in level:
-        score = float(distances[list(event.support)].sum())
-        key = (score, event.support[0])
-        if best_key is None or key < best_key:
-            best, best_key = event, key
-    return best
-
-
 # numpy sums fewer values than this one by one, and more in eight pairwise
 # partial sums
 PAIRWISE_MIN = 8
 
 
 def nearest_events(member: np.ndarray, distances: np.ndarray) -> np.ndarray:
-    """Nearest event of every row: ``pick_nearest`` on whole arrays.
+    """Nearest event of every row.
 
     ``member`` (..., R) holds each realization's event index within its
     level (a row of ``EventTree.member``) and ``distances``, of the same
     shape, each realization's distance.  An event scores the sum of its
     members' distances, each sum bit-equal to numpy's sum over the members
-    in ascending order as in ``pick_nearest``.  The lowest score wins and
-    ties go to the event holding the lowest realization, whatever the order
-    of events in the level.  Returns the event index of every row, shape
-    (...).
+    in ascending order.  The lowest score wins and ties go to the event
+    holding the lowest realization, whatever the order of events in the
+    level.  Returns the event index of every row, shape (...).
     """
     R = member.shape[-1]
     m = member.reshape(-1, R)
@@ -320,26 +303,6 @@ def _pairwise_sums(groups: np.ndarray, values: np.ndarray, sums: np.ndarray) -> 
         at = np.flatnonzero(np.isin(groups, big))
         at = at[np.argsort(groups[at], kind="stable")]
         sums[big] = values[at].reshape(-1, size).sum(axis=1)
-
-
-def nearest_event(
-    defining_ttd: TravelTimeDistribution,
-    tree: EventTree,
-    info: np.ndarray,
-    t: int,
-) -> Event:
-    """Match observed history (steps < t) to an event of the defining tree.
-
-    ``info`` has shape (L, T+1) with realized travel times filled for all
-    steps below t; columns at or beyond t are ignored.
-    """
-    T = tree.horizon_steps
-    t = max(1, min(int(t), T))
-    level = tree.events_at(t)
-    if len(level) == 1:
-        return level[0]
-    upto = prefix_distances(defining_ttd.values, info)[:, t]
-    return level[int(nearest_events(tree.member[t], upto))]
 
 
 def parse_ttd(document: Document) -> TravelTimeDistribution:

@@ -167,12 +167,6 @@ def transition_diverge(
     )
 
 
-def disaggregate(total: float, weights: list[float], xi: float = XI) -> list[float]:
-    """Split a flow over commodities proportionally to their curve gaps."""
-    denom = sum(weights) + xi
-    return [total * w / denom for w in weights]
-
-
 def link_travel_time(link: LinkState, t: int) -> float:
     """Time spent by the vehicle leaving at step t (count matching).
 

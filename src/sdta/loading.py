@@ -155,11 +155,10 @@ class _Turns:
         self.merge_ends = np.array([merge_src, merge_src[swap(m)], L + 1 + dst[self.merge]])
         self.merge_share = np.array(priority + [1.0 - p for p in priority])
         self.diverge_other = ns + 2 * m + swap(d)
-        self.diverge_receiving = L + 1 + dst[self.diverge]
+        self.diverge_target = dst[self.diverge]
+        self.diverge_receiving = L + 1 + self.diverge_target
         self.diverge_in = [i for i, _ in diverge_a]
-        self.diverge_outs = [(a, b) for (_, a), (_, b) in zip(diverge_a, diverge_b)]
         self.diverge_of_turn = np.r_[np.arange(d), np.arange(d)]
-        self.diverge_slot = np.r_[np.zeros(d, np.int64), np.ones(d, np.int64)][:, None]
         # feed[first | second, side, link]: turns into a link's upstream end
         # (side 0) and out of its downstream end (side 1).  M names the
         # all-zero row of the turn-flow table.
@@ -171,15 +170,13 @@ class _Turns:
         self.feed = feed
 
     def path_routes(self, paths: Sequence[Sequence[str]], network: Network) -> np.ndarray:
-        """Route table (path, diverge) -> out-link slot of each path's next
-        link at that diverge, or -1 where the path does not pass."""
+        """Route table (path, diverge) -> index of the link each path takes
+        after the diverge's in-link, or -1 where the path does not pass."""
         index = network.link_index
         route = np.full((len(paths), len(self.diverge_in)), -1, dtype=np.int64)
         for k, path in enumerate(paths):
             successor = {index[a]: index[b] for a, b in zip(path, path[1:])}
-            for d, (in_link, outs) in enumerate(zip(self.diverge_in, self.diverge_outs)):
-                if successor.get(in_link) in outs:
-                    route[k, d] = outs.index(successor[in_link])
+            route[k] = [successor.get(in_link, -1) for in_link in self.diverge_in]
         return route
 
 
@@ -288,10 +285,11 @@ class _Engine:
         return flows, ahead[:, 2 * L:].reshape(-1, L, self.K) - prev[:, 1, :, 1:]
 
     def set_route(self, route: np.ndarray) -> None:
-        """Route table (R, K, diverges): each commodity's out-link slot (0 or
-        1) at each diverge, or -1 for no decision; holds until the next call."""
+        """Route table (R, K, diverges): each commodity's next link index at
+        each diverge, or -1 for no decision; holds until the next call."""
         tu = self.turns
-        self._mask = (route.swapaxes(1, 2)[:, tu.diverge_of_turn] == tu.diverge_slot) * 1.0
+        self._mask = (route.swapaxes(1, 2)[:, tu.diverge_of_turn]
+                      == tu.diverge_target[:, None]) * 1.0
 
     def step(
         self,
@@ -340,8 +338,8 @@ class _Engine:
             ratio = np.where(other > 0.0, rec * own / other, np.inf)
             g[:, tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
 
-        # turn flows: aggregate, then split over commodities by weight as
-        # `disaggregate`; each curve adds its (at most two) turns
+        # turn flows: aggregate, then split over commodities in proportion
+        # to their weights; each curve adds its (at most two) turns
         table = self._turn_flows
         table[:, :-1, 0] = g
         np.divide(g[..., None] * w, (total + XI)[..., None], out=table[:, :-1, 1:])
@@ -631,28 +629,6 @@ def iterative_loading(
     )
 
 
-def link_policy_incidence(
-    policies: Sequence[Policy],
-    current_info: np.ndarray,
-    t: int,
-) -> dict[str, dict]:
-    """Per-policy decision map (node -> outgoing link id) at step t.
-
-    The event is matched against each policy's defining distribution using
-    realized history before t; single-outgoing-link nodes are included for
-    completeness since their decision is forced.
-    """
-    out: dict[str, dict] = {}
-    for policy in policies:
-        links = policy.defining_ttd.links
-        s = max(1, min(int(t), policy.defining_ttd.horizon_steps))
-        decision = _decisions(policy, current_info)[1][s]
-        out[policy.label] = {
-            node: links[li].id for node, li in zip(policy.nodes, decision) if li >= 0
-        }
-    return out
-
-
 def po_ltm(
     network: Network,
     policies: Sequence[Policy],
@@ -669,32 +645,28 @@ def po_ltm(
     times written so far pick each policy's event (incrementally accumulated
     absolute-difference metric), whose decisions at the diverges form that
     step's route table; after moving flows the step's travel times are
-    appended to the realized history.  ``diagnostics`` (a list, if given)
-    receives one LoadResult per realization, in order, for conservation
-    checks.
+    appended to the realized history.  Every policy must be defined on the
+    network's links in the network's order, since its decisions are link
+    indices.  ``diagnostics`` (a list, if given) receives one LoadResult per
+    realization, in order, for conservation checks.
     """
+    links = links_of(network)
+    if any(p.defining_ttd.links != links for p in policies):
+        raise ValidationError("policies must be defined on the network's links, in its order")
     T = scenario.horizon_steps
     K = len(policies)
     turns = _Turns(network)
     shares = np.vstack([splits.row(p.label) for p in policies])
     defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
     member = np.stack([p.tree.member for p in policies])             # (K, T+1, R')
-    # every policy's out-link slot (or -1) at each diverge under each event,
-    # one row per (policy, event column); policy k's step-t events start at
-    # row first[k, t].  A slot table's last column answers the decision -1.
-    diverge = np.arange(len(turns.diverge_nodes))[:, None]
-    tables, first, width = [], [], 0
-    for policy in policies:
-        ids = [l.id for l in policy.defining_ttd.links]
-        slot = np.full((diverge.size, len(ids) + 1), -1, dtype=np.int64)
-        for d, outs in enumerate(turns.diverge_outs):
-            for side, link in enumerate(outs):
-                slot[d, ids.index(network.links[link].id)] = side
-        rows = [policy.node_index[n] for n in turns.diverge_nodes]
-        tables.append(slot[diverge, policy.choices[rows]])
-        first.append(policy.tree.start + width)
-        width += policy.choices.shape[1]
-    routes, first = np.hstack(tables).T, np.array(first)
+    # every policy's next link (or -1) at each diverge under each event, one
+    # row per (policy, event column); policy k's step-t events start at row
+    # first[k, t]
+    routes = np.hstack([
+        p.choices[[p.node_index[n] for n in turns.diverge_nodes]] for p in policies
+    ]).T
+    width = np.cumsum([0] + [p.choices.shape[1] for p in policies[:-1]])
+    first = np.stack([p.tree.start for p in policies]) + width[:, None]
     reals = scenario.realizations
     engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
     cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
@@ -717,8 +689,7 @@ def po_ltm(
         for r in range(len(reals)):
             diagnostics.append(engine.result(r, info[r], cum[r]))
     return TravelTimeDistribution(
-        info, scenario.dt, scenario.probabilities, links_of(network),
-        network.origin, network.destination,
+        info, scenario.dt, scenario.probabilities, links, network.origin, network.destination,
     )
 
 

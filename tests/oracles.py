@@ -3,10 +3,13 @@
 Everything here is written independently of the package internals: brute
 force enumeration, plain label setting, frozensets instead of event trees.
 Keep it slow and obvious.  The exceptions are former scalar versions of
-the program's array code, kept as its references: ``translate_walk``, the
-policy-to-path walk built only on the scalar ``pick_nearest``, and the
-per-event loops ``expected_origin_time_loop`` and ``inflated_values``,
-which read policies one state at a time through ``Policy``'s lookups.
+the program's array code, kept as its references: ``pick_nearest``, the
+one-level event matcher that ``events.nearest_events`` batches;
+``disaggregate``, the commodity split of one turn flow that the engine
+makes for all turns at once; ``translate_walk``, the policy-to-path walk
+built only on ``pick_nearest``; and the per-event loops
+``expected_origin_time_loop`` and ``inflated_values``, which read policies
+one state at a time through ``Policy``'s lookups.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from sdta import (
     NonTerminatingTranslation,
     PathSet,
     TravelTimeDistribution,
-    pick_nearest,
     prefix_distances,
 )
+from sdta.kernels import XI
 
 HOP_CAP = 60
 
@@ -162,6 +165,25 @@ def tdsp_value(ttd: TravelTimeDistribution, r: int) -> float:
                 cands.append(c + v[(nxt, arrive)])
             v[(n, t)] = min(cands)
     return v[(ttd.origin, 1)]
+
+
+def pick_nearest(level, distances: np.ndarray):
+    """Event of ``level`` minimizing the support-summed distance; ties break
+    on the lowest contained realization index."""
+    best = None
+    best_key = None
+    for event in level:
+        score = float(distances[list(event.support)].sum())
+        key = (score, event.support[0])
+        if best_key is None or key < best_key:
+            best, best_key = event, key
+    return best
+
+
+def disaggregate(total: float, weights: list[float], xi: float = XI) -> list[float]:
+    """Split a flow over commodities proportionally to their curve gaps."""
+    denom = sum(weights) + xi
+    return [total * w / denom for w in weights]
 
 
 def expected_origin_time_loop(policy, tree, t: int) -> float:

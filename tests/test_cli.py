@@ -350,7 +350,9 @@ def test_failed_command_leaves_no_out_directory(tmp_path, command, fault, code):
         argv = ["policies", missing if fault == "missing" else _cut_ttd(tmp_path)]
     else:
         argv = [command, "twolinks", missing if fault == "missing" else "twolinks",
-                "--steps", "20", "--iters", "1"]
+                "--steps", "20"]
+        if command in ("solve", "sweep"):
+            argv += ["--iters", "1"]
         if fault == "invalid":
             argv += ["--kappa", "1"]
         if command == "sweep":
@@ -358,6 +360,31 @@ def test_failed_command_leaves_no_out_directory(tmp_path, command, fault, code):
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["load", "--iters", "0"],
+    ["bench", "--loader", "iter"],
+    ["sweep", "--z", "9", "--z-values", "1.5"],
+])
+def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        run(argv[0], "twolinks", "twolinks", "--steps", "20", *argv[1:], "--out", str(out))
+    assert exit_.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_is_exit_2_before_work(tmp_path, capsys, below):
+    existing = tmp_path / "afile"
+    existing.write_text("keep me\n")
+    out = existing / "run" if below else existing
+    code = run("solve", "twolinks", "twolinks", "--steps", "40", "--iters", "2",
+               "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert existing.read_text() == "keep me\n"
 
 
 def _paths(doc, prefix=()):

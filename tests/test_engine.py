@@ -310,16 +310,35 @@ SF_STEPS = 90
 SF_BASE = load_scenario("sf", SF, steps=SF_STEPS).realizations[0]
 
 
-def sf_paths():
+def all_paths(network):
     def walk(node, path):
-        if node == SF.destination:
+        if node == network.destination:
             yield path
-        for link in SF.out_links[node]:
+        for link in network.out_links[node]:
             yield from walk(link.to_node, path + (link.id,))
-    return list(walk(SF.origin, ()))
+    return list(walk(network.origin, ()))
 
 
-SF_PATHS = sf_paths()
+SF_PATHS = all_paths(SF)
+
+
+@pytest.mark.parametrize("network", [DIAMOND, SF], ids=["diamond", "sf"])
+def test_path_routes_name_the_out_link_each_path_takes(network):
+    """A path's route at a diverge is the index of the out-link it takes
+    there, and -1 exactly where it does not pass the diverge."""
+    turns = _Turns(network)
+    paths = all_paths(network)
+    route = turns.path_routes(paths, network)
+    index = network.link_index
+    outs = [{index[l.id] for l in network.out_links[n]} for n in turns.diverge_nodes]
+    assert route.shape == (len(paths), len(outs)) and len(outs) > 0
+    for path, row in zip(paths, route):
+        taken = {index[link] for link in path}
+        for li, out in zip(row, outs):
+            if li >= 0:
+                assert li in out and li in taken
+            else:
+                assert not out & taken
 
 
 @st.composite

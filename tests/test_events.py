@@ -12,14 +12,13 @@ from sdta import (
     event_probability,
     free_flow_distribution,
     generate_events,
-    nearest_event,
     parse_ttd,
-    pick_nearest,
     prefix_distances,
     round_to_grid,
 )
 from sdta.events import nearest_events
 from conftest import read_fixture
+from oracles import pick_nearest
 
 
 def test_levels_refine_to_singletons(parallel3, parallel3_tree):
@@ -93,6 +92,13 @@ def _two_row_ttd(row0, row1):
         values, 1.0, np.array([0.5, 0.5]), [LinkRef("a", 1, 2)], 1, 2,
         grid_rounded=True,
     )
+
+
+def nearest_event(ttd, tree, info, t):
+    """The step-t event matched to the history ``info`` (L, T+1) before t,
+    as the loaders match it."""
+    distances = prefix_distances(ttd.values, info)[:, t]
+    return tree.events_at(t)[int(nearest_events(tree.member[t], distances))]
 
 
 def test_nearest_event_tie_prefers_lowest_realization():

@@ -6,7 +6,6 @@ from sdta import (
     LinkSpec,
     LinkState,
     ValidationError,
-    disaggregate,
     interp,
     inverse,
     link_travel_time,
@@ -15,6 +14,7 @@ from sdta import (
     transition_diverge,
     transition_merge,
 )
+from oracles import disaggregate
 
 
 def make_state(cap=100.0, length=300.0, vf=15.0, w=7.5, kjam=0.2, steps=40):

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
-from conftest import load_network, load_scenario
+from conftest import load_network, load_scenario, read_fixture
 from sdta import (
     ChoiceParams,
     LoaderStats,
@@ -13,13 +14,15 @@ from sdta import (
     free_flow_distribution,
     generate_policies,
     iterative_loading,
-    link_policy_incidence,
+    links_of,
+    parse_network,
     path_ltm,
     po_ltm,
     single_route_pathset,
     splits_for,
     translate,
 )
+from sdta.loading import _decisions
 
 KAPPA = ChoiceParams()
 
@@ -190,18 +193,18 @@ def test_translate_produces_valid_paths(twolinks):
 
 
 def test_policy_incidence_maps_nodes_to_links(diamond):
+    # every decision the loaders look up leaves the node it is taken at
     net, _ = diamond
     scn = load_scenario("diamond", net, steps=150)
     policies, _ = policies_and_splits(net, scn)
     info = free_flow_distribution(net, scn).values[0]
-    incidence = link_policy_incidence(policies, info, 10)
-    assert set(incidence) == {p.label for p in policies}
-    for table in incidence.values():
-        for node, link_id in table.items():
-            assert link_id in {l.id for l in net.links}
-            assert any(
-                l.from_node == node for l in net.links if l.id == link_id
-            )
+    for policy in policies:
+        assert policy.defining_ttd.links == links_of(net)
+        decisions = _decisions(policy, info)[1]
+        assert decisions.shape == (scn.horizon_steps + 1, len(policy.nodes))
+        for node, li in zip(policy.nodes, decisions[10]):
+            if li >= 0:
+                assert net.links[li].from_node == node
 
 
 def test_diverge_with_a_subnormal_branch_warns_nothing(diamond):
@@ -236,3 +239,22 @@ def test_chronological_diagnostics_conserve(diamond):
         assert res.released + res.origin_backlog[-1] == pytest.approx(
             res.demand_total, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("defined_on", ["twolinks", "diamond reversed"])
+def test_policies_must_share_the_network_links_and_order(diamond, defined_on):
+    # route tables hold link indices, so a policy defined on other links, or
+    # on the same links in another order, would route to the wrong links
+    net, _ = diamond
+    scn = load_scenario("diamond", net, steps=40)
+    if defined_on == "twolinks":
+        other = load_network("twolinks")
+        policies, splits = policies_and_splits(other, load_scenario("twolinks", other, steps=40))
+        loaded_on = net
+    else:
+        policies, splits = policies_and_splits(net, scn)
+        doc = yaml.safe_load(read_fixture("diamond.net.yaml"))
+        doc["links"].reverse()
+        loaded_on = parse_network(doc)
+    with pytest.raises(ValidationError, match="network's links"):
+        po_ltm(loaded_on, policies, splits, scn)
