@@ -281,12 +281,11 @@ def cmd_sweep(args) -> int:
 SOLVER_OPTIONS = {
     "--loader": dict(choices=LOADERS),
     "--policies": dict(type=int, help="number of policies (optimal plus suboptimal)"),
-    "--z": dict(type=float, nargs="+",
-                help="perturbation factors, one per suboptimal policy"),
+    "--z": dict(type=float, nargs="+", help="perturbation factors, one per suboptimal policy"),
     "--kappa": dict(type=float),
-    "--iters": dict(dest="k_outer", type=int, help="max outer iterations"),
-    "--inner-iters": dict(dest="k_inner", type=int),
-    "--eps": dict(dest="convergence_eps", type=float),
+    "--iters": dict(dest="k_outer", metavar="N", type=int, help="max outer iterations"),
+    "--inner-iters": dict(dest="k_inner", metavar="N", type=int),
+    "--eps": dict(dest="convergence_eps", metavar="EPS", type=float),
     "--strict-origin": dict(action="store_true",
                             help="drop unserved origin demand instead of queueing it"),
 }
