@@ -47,8 +47,6 @@ from .events import (
 )
 from .policy import (
     Policy,
-    PolicyKind,
-    ZFactors,
     check_monotone,
     dot_spi,
     expected_origin_time,
@@ -82,7 +80,6 @@ from .loading import (
     path_ltm,
     po_ltm,
     single_route_pathset,
-    translate,
 )
 from .equilibrium import (
     EquilibriumResult,
@@ -109,7 +106,7 @@ __all__ = [
     "Event", "EventTree", "LinkRef", "TravelTimeDistribution",
     "event_probability", "free_flow_distribution", "generate_events",
     "links_of", "parse_ttd", "prefix_distances", "round_to_grid",
-    "Policy", "PolicyKind", "ZFactors", "check_monotone", "dot_spi",
+    "Policy", "check_monotone", "dot_spi",
     "expected_origin_time", "generate_policies", "horizon_shortest",
     "lp_policy",
     "ChoiceParams", "SplitSchedule", "logit_splits", "splits_for",
@@ -118,7 +115,7 @@ __all__ = [
     "link_travel_time", "receiving_flow", "sending_flow",
     "transition_diverge", "transition_merge",
     "LoaderStats", "LoadResult", "PathSet", "iterative_loading",
-    "path_ltm", "po_ltm", "single_route_pathset", "translate",
+    "path_ltm", "po_ltm", "single_route_pathset",
     "EquilibriumResult", "IterationRecord", "SolverConfig",
     "average_expected_time", "convergence_metric", "expected_times_at",
     "monte_carlo_std", "msa_solve",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,13 +15,13 @@ from .policy import Policy, expected_origin_times
 
 @dataclass(frozen=True)
 class ChoiceParams:
-    """Logit scale; negative so longer expected times lose probability."""
+    """Logit scale; finite and negative so longer times lose probability."""
 
     kappa: float = -0.01
 
     def __post_init__(self):
-        if not self.kappa < 0:
-            raise ValidationError("kappa must be negative")
+        if not -math.inf < self.kappa < 0:
+            raise ValidationError("kappa must be finite and negative")
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,6 @@ def logit_splits(y: np.ndarray, labels: Sequence[str] | None = None) -> SplitSch
 def splits_for(
     policies: Sequence[Policy], tree: EventTree, params: ChoiceParams
 ) -> SplitSchedule:
-    """Utilities and logit in one call, labeled by policy kind."""
+    """Utilities and logit in one call, labeled by policy."""
     y = utilities(policies, tree, params)
     return logit_splits(y, tuple(p.label for p in policies))

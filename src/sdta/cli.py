@@ -235,6 +235,8 @@ def cmd_policies(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValidationError("--repeat must be at least 1")
     network, scenario, config, inputs = _inputs(args)
     policies, tree, splits = _policies_on_free_flow(network, scenario, config)
 
@@ -242,7 +244,7 @@ def cmd_bench(args) -> int:
     counters = {}
     for name in LOADERS:
         best = float("inf")
-        for _ in range(max(1, args.repeat)):
+        for _ in range(args.repeat):
             stats = LoaderStats()
             t0 = time.perf_counter()
             _load(network, policies, splits, scenario,

@@ -24,7 +24,7 @@ from .events import (
 )
 from .loading import LoaderStats, iterative_loading, po_ltm
 from .network import Network
-from .policy import Policy, ZFactors, expected_origin_times, generate_policies
+from .policy import Policy, expected_origin_times, generate_policies, z_factors
 from .scenario import Scenario, perturbed
 
 LOADERS = ("chrono", "iter")
@@ -46,14 +46,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.k_outer < 1:
             raise ValidationError("k_outer must be at least 1")
-        if self.convergence_eps <= 0.0:
-            raise ValidationError("convergence_eps must be positive")
+        if not 0.0 < self.convergence_eps < math.inf:
+            raise ValidationError("convergence_eps must be finite and positive")
         if self.loader not in LOADERS:
             raise ValidationError(f"loader must be one of {LOADERS}")
         if self.k_inner < 1:
             raise ValidationError("k_inner must be at least 1")
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
-        ZFactors(self.z)
+        object.__setattr__(self, "z", z_factors(self.z))
         ChoiceParams(kappa=self.kappa)
 
     @property

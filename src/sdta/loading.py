@@ -291,12 +291,8 @@ class _Engine:
         self._mask = (route.swapaxes(1, 2)[:, tu.diverge_of_turn]
                       == tu.diverge_target[:, None]) * 1.0
 
-    def step(
-        self,
-        t: int,
-        cum_demand: np.ndarray,   # (R, K, T+1)
-        stats: LoaderStats | None = None,
-    ) -> None:
+    def step(self, t: int, cum_demand: np.ndarray) -> None:
+        """Move step t's flows; ``cum_demand`` is (R, K, T+1)."""
         tu, L = self.turns, self.L
         flows, gaps = self.boundary_flows(t)
         weights = self._weights
@@ -348,8 +344,6 @@ class _Engine:
         np.add(self.curves[..., t - 1],
                table.take(tu.feed[0], axis=1) + table.take(tu.feed[1], axis=1),
                out=self.curves[..., t])
-        if stats is not None:
-            stats.node_updates += self.R * tu.n_nodes
 
     def travel_time_column(self, t: int) -> np.ndarray:
         """Travel time of the vehicle leaving each link at step t, matched
@@ -469,34 +463,16 @@ def _load_paths(
         cum[r, :k] = _prefix_demand(demand, pathset.mu)
         route[r, :k] = turns.path_routes(pathset.paths, network)
 
-    if stats is not None:
-        stats.time_loops += len(pathsets)
     engine.set_route(route)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            engine.step(t, cum, stats)
+            engine.step(t, cum)
         travel = engine.travel_times()
     engine.check_monotone()
+    if stats is not None:
+        stats.time_loops += len(pathsets)
+        stats.node_updates += len(pathsets) * T * turns.n_nodes
     return engine, cum, travel
-
-
-def translate(
-    policies: Sequence[Policy],
-    splits: SplitSchedule,
-    current_ttd: TravelTimeDistribution,
-    realization: int = 0,
-    stats: LoaderStats | None = None,
-) -> PathSet:
-    """Realize each policy as one path per departure step.
-
-    The walk starts at the origin at the departure time; at every node the
-    event nearest to the realized history (absolute-difference metric
-    against the policy's defining distribution) selects the decision, and
-    the clock advances by the in-event expected traversal time rounded to
-    the grid.  Policies collapsing onto one path pool their fractions.
-    """
-    info = current_ttd.values[realization]
-    return _translate_info(policies, splits, info, current_ttd.dt, stats)
 
 
 def _translate_info(
@@ -504,8 +480,16 @@ def _translate_info(
     splits: SplitSchedule,
     info: np.ndarray,
     dt: float,
-    stats: LoaderStats | None = None,
 ) -> PathSet:
+    """Realize each policy as one path per departure step against the
+    observed history ``info``, (L, T+1).
+
+    The walk starts at the origin at the departure time; at every node the
+    event nearest to the realized history (absolute-difference metric
+    against the policy's defining distribution) selects the decision, and
+    the clock advances by the in-event expected traversal time rounded to
+    the grid.  Policies collapsing onto one path pool their fractions.
+    """
     T = policies[0].defining_ttd.horizon_steps
     departures = np.arange(1, T + 1)
     accumulators: dict[tuple[str, ...], np.ndarray] = {}
@@ -552,8 +536,6 @@ def _translate_info(
             key = tuple(ttd.links[li].id for li in walks[mine.argmax()] if li >= 0)
             row = accumulators.setdefault(key, np.zeros(T + 1))
             row[1:][mine] += eta[mine]
-    if stats is not None:
-        stats.translations += 1
     paths = tuple(sorted(accumulators))
     mu = np.vstack([accumulators[p] for p in paths])
     mu[:, 0] = mu[:, 1]
@@ -599,34 +581,42 @@ def iterative_loading(
 ) -> TravelTimeDistribution:
     """Policy loading by alternating translation and path loading.
 
-    Every realization starts from free flow: translate each against its
-    current iterate, load all path sets in one batched sweep, average travel
-    times with step size 1/l, and repeat ``k_inner`` times (one more
-    translation closes each realization).
+    Every realization starts from free flow.  Each of the ``k_inner``
+    rounds translates every realization against its current iterate, loads
+    all path sets in one batched sweep and averages travel times with step
+    size 1/l.  Policies must be defined on the network's links, as in
+    ``po_ltm``.
     """
     if k_inner < 1:
         raise ValidationError("need at least one inner iteration")
+    links = _policy_links(network, policies)
     free = free_flow_distribution(network, scenario)
     dt, reals = scenario.dt, scenario.realizations
     demands = [real.demand for real in reals]
     capacities = [real.capacity for real in reals]
 
-    def translated(iterate):
-        return [_translate_info(policies, splits, info, dt, stats) for info in iterate]
-
     current = np.repeat(free.values[:1], len(reals), axis=0)
-    pathsets = translated(current)
     for l in range(1, k_inner + 1):
+        pathsets = [_translate_info(policies, splits, info, dt) for info in current]
+        if stats is not None:
+            stats.translations += len(reals)
         _, _, travel = _load_paths(
             network, pathsets, demands, capacities, dt, strict_origin, stats
         )
         alpha = 1.0 / l
         current = (1.0 - alpha) * current + alpha * travel
-        pathsets = translated(current)
     return TravelTimeDistribution(
-        current, dt, scenario.probabilities, links_of(network),
-        network.origin, network.destination,
+        current, dt, scenario.probabilities, links, network.origin, network.destination,
     )
+
+
+def _policy_links(network: Network, policies: Sequence[Policy]) -> tuple:
+    """The network's links, on which every policy must be defined, in the
+    network's order, since its decisions are link indices."""
+    links = links_of(network)
+    if any(p.defining_ttd.links != links for p in policies):
+        raise ValidationError("policies must be defined on the network's links, in its order")
+    return links
 
 
 def po_ltm(
@@ -650,9 +640,7 @@ def po_ltm(
     indices.  ``diagnostics`` (a list, if given) receives one LoadResult per
     realization, in order, for conservation checks.
     """
-    links = links_of(network)
-    if any(p.defining_ttd.links != links for p in policies):
-        raise ValidationError("policies must be defined on the network's links, in its order")
+    links = _policy_links(network, policies)
     T = scenario.horizon_steps
     K = len(policies)
     turns = _Turns(network)
@@ -673,17 +661,18 @@ def po_ltm(
     info = np.zeros((len(reals), len(network.links), T + 1))
     running = np.zeros((len(reals),) + defining.shape[:2])        # (R, K, R')
 
-    if stats is not None:
-        stats.time_loops += len(reals)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if t >= 2:
                 running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
             event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
             engine.set_route(routes[first[:, t] + event])
-            engine.step(t, cum, stats)
+            engine.step(t, cum)
             info[..., t] = engine.travel_time_column(t)
     engine.check_monotone()
+    if stats is not None:
+        stats.time_loops += len(reals)
+        stats.node_updates += len(reals) * T * turns.n_nodes
     info[..., 0] = info[..., 1]
     if diagnostics is not None:
         for r in range(len(reals)):

@@ -10,7 +10,7 @@ optimal choices were inflated by a factor z > 1.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,44 +20,15 @@ from .events import Event, EventTree, TravelTimeDistribution, generate_events, r
 from .network import NodeId, node_sort_key
 
 
-@dataclass(frozen=True)
-class ZFactors:
-    """Inflation factors, one per suboptimal policy to generate."""
-
-    z: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(v <= 1.0 for v in self.z):
-            raise ValidationError("every z factor must exceed 1")
-
-
-@dataclass(frozen=True)
-class PolicyKind:
-    name: str                 # "optimal" | "suboptimal"
-    z: float | None = None
-
-    @classmethod
-    def optimal(cls) -> "PolicyKind":
-        return cls("optimal")
-
-    @classmethod
-    def suboptimal(cls, z: float) -> "PolicyKind":
-        return cls("suboptimal", z)
-
-    @property
-    def label(self) -> str:
-        if self.name == "optimal":
-            return "optimal"
-        return f"suboptimal[z={self.z:g}]"
-
-
 class Policy:
     """Expected times (``values``) and next-link positions (``choices``, -1
-    for none) for every state: one row per node, one column per event."""
+    for none) for every state: one row per node, one column per event.
+    ``z`` is the inflation factor of a suboptimal policy, None for the
+    optimal one."""
 
     def __init__(
         self,
-        kind: PolicyKind,
+        z: float | None,
         defining_ttd: TravelTimeDistribution,
         tree: EventTree,
         values: np.ndarray,
@@ -65,7 +36,7 @@ class Policy:
         nodes: Sequence[NodeId],
         sentinel: float,
     ):
-        self.kind = kind
+        self.z = z
         self.defining_ttd = defining_ttd
         self.tree = tree
         self.values = values
@@ -76,7 +47,7 @@ class Policy:
 
     @property
     def label(self) -> str:
-        return self.kind.label
+        return "optimal" if self.z is None else f"suboptimal[z={self.z:g}]"
 
     @property
     def horizon_steps(self) -> int:
@@ -85,7 +56,10 @@ class Policy:
     def _state(self, node: NodeId, t: int, event: Event) -> tuple[int, int]:
         tree = self.tree
         t = max(1, min(int(t), tree.horizon_steps))
-        return self.node_index[node], int(tree.start[t] + tree.member[t, event.support[0]])
+        e_idx = int(tree.member[t, event.support[0]])
+        if tree.events_at(t)[e_idx] != event:
+            raise ValidationError(f"event {event.support} is not one of step {t}'s events")
+        return self.node_index[node], int(tree.start[t]) + e_idx
 
     def expected_time(self, node: NodeId, t: int, event: Event) -> float:
         return float(self.values[self._state(node, t, event)])
@@ -212,7 +186,7 @@ def _run_dot_spi(
     ttd: TravelTimeDistribution,
     tree: EventTree,
     dest: NodeId,
-    kind: PolicyKind,
+    z: float | None,
 ) -> Policy:
     if not ttd.grid_rounded:
         raise ValidationError("distribution must be grid-rounded first")
@@ -272,7 +246,7 @@ def _run_dot_spi(
         step_values[t] = np.array(e_now)
         step_choices[t] = np.array(c_now, dtype=np.int64)
 
-    return Policy(kind, ttd, tree, np.hstack(step_values[1:]), np.hstack(step_choices[1:]),
+    return Policy(z, ttd, tree, np.hstack(step_values[1:]), np.hstack(step_choices[1:]),
                   nodes, sentinel)
 
 
@@ -284,7 +258,7 @@ def dot_spi(ttd: TravelTimeDistribution, tree: EventTree, dest: NodeId) -> Polic
     cost plus the continuation at the realized arrival step, with arrivals
     past the horizon clamped to the final level.
     """
-    return _run_dot_spi(ttd, tree, dest, PolicyKind.optimal())
+    return _run_dot_spi(ttd, tree, dest, None)
 
 
 def check_monotone(ttd: TravelTimeDistribution) -> bool:
@@ -292,18 +266,19 @@ def check_monotone(ttd: TravelTimeDistribution) -> bool:
     return bool(np.all(np.diff(ttd.values[:, :, 1:], axis=2) > 0))
 
 
-def _as_zfactors(z: ZFactors | Sequence[float] | float) -> ZFactors:
-    if isinstance(z, ZFactors):
-        return z
-    if isinstance(z, (int, float)):
-        return ZFactors((float(z),))
-    return ZFactors(tuple(float(v) for v in z))
+def z_factors(z: float | Iterable[float]) -> tuple[float, ...]:
+    """The inflation factors as floats, from one factor or a sequence; each
+    must be finite and exceed 1."""
+    factors = (float(z),) if isinstance(z, (int, float)) else tuple(float(v) for v in z)
+    if not all(1.0 < v < math.inf for v in factors):
+        raise ValidationError("every z factor must be finite and exceed 1")
+    return factors
 
 
 def lp_policy(
     ttd: TravelTimeDistribution,
     optimal: Policy,
-    z: ZFactors | Sequence[float] | float,
+    z: float | Iterable[float],
     steps: Iterable[int] | None = None,
 ) -> list[Policy]:
     """Suboptimal policies from inflating the optimal choices.
@@ -316,6 +291,7 @@ def lp_policy(
     the final one requires strictly time-increasing travel times; without
     that the re-optimized policy may beat the one it perturbs.
     """
+    factors = z_factors(z)
     T = ttd.horizon_steps
     steps = [T] if steps is None else sorted(set(int(s) for s in steps))
     if any(s < 1 or s > T for s in steps):
@@ -332,11 +308,11 @@ def lp_policy(
     j, at, r = np.nonzero(choice >= 0)
     inflated = (r, choice[j, at, r], steps[at])
     out = []
-    for zv in _as_zfactors(z).z:
+    for zv in factors:
         values = ttd.copy_values()
         values[inflated] *= zv
         modified = round_to_grid(ttd.replace_values(values))
-        out.append(_run_dot_spi(modified, tree, ttd.destination, PolicyKind.suboptimal(zv)))
+        out.append(_run_dot_spi(modified, tree, ttd.destination, zv))
     return out
 
 
@@ -357,14 +333,11 @@ def expected_origin_time(policy: Policy, tree: EventTree, t: int) -> float:
 
 
 def generate_policies(
-    ttd: TravelTimeDistribution, z: ZFactors | Sequence[float]
+    ttd: TravelTimeDistribution, z: float | Iterable[float]
 ) -> tuple[list[Policy], EventTree]:
     """Round, build the event tree, and produce optimal + suboptimal policies."""
+    factors = z_factors(z)
     rounded = ttd if ttd.grid_rounded else round_to_grid(ttd)
     tree = generate_events(rounded)
     optimal = dot_spi(rounded, tree, rounded.destination)
-    policies = [optimal]
-    factors = _as_zfactors(z)
-    if factors.z:
-        policies.extend(lp_policy(rounded, optimal, factors))
-    return policies, tree
+    return [optimal, *lp_policy(rounded, optimal, factors)], tree

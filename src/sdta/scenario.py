@@ -50,8 +50,6 @@ class Scenario:
     dt: float                  # s
     horizon_steps: int
     realizations: tuple[Realization, ...]
-    origin: Any
-    destination: Any
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -211,8 +209,6 @@ def parse_scenario(document: Document, network: Network) -> Scenario:
         dt=dt,
         horizon_steps=steps,
         realizations=tuple(realizations),
-        origin=network.origin,
-        destination=network.destination,
         warnings=tuple(warnings),
     )
 

@@ -138,7 +138,7 @@ def test_bench_reports_both_loaders(tmp_path, capsys):
     R, nodes = 3, 3
     assert report["counters"] == {
         "chrono": {"time_loops": R, "translations": 0, "node_updates": R * steps * nodes},
-        "iter": {"time_loops": R * k_inner, "translations": R * (k_inner + 1),
+        "iter": {"time_loops": R * k_inner, "translations": R * k_inner,
                  "node_updates": R * k_inner * steps * nodes},
     }
     assert report["chrono_s"] > 0.0 and report["iter_s"] > 0.0
@@ -359,6 +359,33 @@ def test_failed_command_leaves_no_out_directory(tmp_path, command, fault, code):
             argv += ["--z-values", "1.5"]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "twolinks", "twolinks", "--eps", "nan"], "convergence_eps"),
+    (["solve", "twolinks", "twolinks", "--eps", "inf"], "convergence_eps"),
+    (["solve", "twolinks", "twolinks", "--z", "nan"], "z factor"),
+    (["solve", "twolinks", "twolinks", "--z", "inf"], "z factor"),
+    (["solve", "twolinks", "twolinks", "--kappa=-inf"], "kappa"),
+    (["policies", "parallel3", "--z", "1.5", "nan"], "z factor"),
+])
+def test_non_finite_solver_setting_is_exit_3_before_work(tmp_path, capsys, argv, named):
+    # a NaN or infinite setting must not run a solve, report a "converged"
+    # result or fail later under another name
+    out = tmp_path / "out"
+    steps = ["--steps", "30"] if argv[0] == "solve" else []
+    assert run(*argv, *steps, "--out", str(out)) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeat", ["0", "-3"])
+def test_bench_repeat_below_one_is_exit_3_before_work(tmp_path, capsys, repeat):
+    out = tmp_path / "out"
+    assert run("bench", "twolinks", "twolinks", "--steps", "20",
+               "--repeat", repeat, "--out", str(out)) == 3
+    assert "--repeat" in capsys.readouterr().err
     assert not out.exists()
 
 

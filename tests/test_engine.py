@@ -231,7 +231,6 @@ def test_path_loading_conserves_with_monotone_curves(demand, scale, share, stric
 def test_policy_loading_conserves(demand, scale, strict):
     scn = BASE.__class__(
         dt=DT, horizon_steps=STEPS, realizations=(realization(demand, scale),),
-        origin=BASE.origin, destination=BASE.destination,
     )
     diagnostics = []
     ttd = po_ltm(DIAMOND, POLICIES, SPLITS, scn, strict_origin=strict,
@@ -290,7 +289,6 @@ def test_policy_loading_is_independent_per_realization(draws, strict):
         return LONG_BASE.__class__(
             dt=DT, horizon_steps=LONG,
             realizations=tuple(Realization(prob, d, c) for d, c in members),
-            origin=LONG_BASE.origin, destination=LONG_BASE.destination,
         )
 
     together = []

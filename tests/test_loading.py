@@ -20,9 +20,8 @@ from sdta import (
     po_ltm,
     single_route_pathset,
     splits_for,
-    translate,
 )
-from sdta.loading import _decisions
+from sdta.loading import _decisions, _translate_info
 
 KAPPA = ChoiceParams()
 
@@ -136,7 +135,7 @@ def test_loader_iteration_counters(twolinks):
     stats = LoaderStats()
     iterative_loading(net, policies, splits, scn, k_inner=k_inner, stats=stats)
     assert stats.time_loops == R * k_inner
-    assert stats.translations == R * (k_inner + 1)
+    assert stats.translations == R * k_inner
     assert stats.node_updates == R * k_inner * T * N
 
 
@@ -186,7 +185,7 @@ def test_translate_produces_valid_paths(twolinks):
     ff = free_flow_distribution(net, scn)
     policies, tree = generate_policies(ff, (1.5,))
     splits = splits_for(policies, tree, KAPPA)
-    ps = translate(policies, splits, ff, realization=0)
+    ps = _translate_info(policies, splits, ff.values[0], ff.dt)
     ps.validate_against(net)
     sums = ps.mu[:, 1:].sum(axis=0)
     assert sums == pytest.approx(np.ones(scn.horizon_steps))
@@ -258,3 +257,5 @@ def test_policies_must_share_the_network_links_and_order(diamond, defined_on):
         loaded_on = parse_network(doc)
     with pytest.raises(ValidationError, match="network's links"):
         po_ltm(loaded_on, policies, splits, scn)
+    with pytest.raises(ValidationError, match="network's links"):
+        iterative_loading(loaded_on, policies, splits, scn, k_inner=2)

@@ -148,14 +148,27 @@ def test_unreachable_node_is_flagged():
     assert policy.sentinel > ttd.values.max() * ttd.horizon_steps
 
 
+def test_lookup_rejects_an_event_of_another_step(parallel3, parallel3_tree):
+    # the full-support event of step 1 is not one of step 4's events, whose
+    # first member would otherwise answer for it
+    policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
+    with pytest.raises(ValidationError, match="not one of step 4's events"):
+        policy.expected_time(1, 4, parallel3_tree.events_at(1)[0])
+    with pytest.raises(ValidationError, match="not one of step 2's events"):
+        policy.next_link(2, 2, parallel3_tree.event_of(3, 1))
+    # a step past the horizon is clamped to it before the check
+    ev = parallel3_tree.event_of(4, 0)
+    assert policy.expected_time(2, 9, ev) == policy.expected_time(2, 4, ev)
+
+
 def test_generated_policy_labels(parallel3):
     policies, _ = generate_policies(parallel3, (1.5, 2.0))
     assert [p.label for p in policies] == [
         "optimal", "suboptimal[z=1.5]", "suboptimal[z=2]",
     ]
-    assert policies[0].kind.name == "optimal"
-    assert policies[1].kind.z == pytest.approx(1.5)
-    assert policies[2].kind.z == pytest.approx(2.0)
+    assert policies[0].z is None and policies[0].label == "optimal"
+    assert policies[1].z == pytest.approx(1.5)
+    assert policies[2].z == pytest.approx(2.0)
 
 
 def test_inflated_policies_never_beat_optimal():

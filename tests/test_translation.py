@@ -20,7 +20,6 @@ from sdta import (
     LinkRef,
     NonTerminatingTranslation,
     Policy,
-    PolicyKind,
     Realization,
     SplitSchedule,
     TravelTimeDistribution,
@@ -30,7 +29,6 @@ from sdta import (
     iterative_loading,
     perturbed,
     splits_for,
-    translate,
     with_realizations,
 )
 from sdta.loading import _expected_advance, _translate_info
@@ -130,7 +128,7 @@ def hand_built(links, decisions, T=4):
                                  refs, 1, 3, grid_rounded=True)
     nodes = (1, 2, 3)
     choices = np.array([[decisions.get(n, -1)] * T for n in nodes], dtype=np.int64)
-    policy = Policy(PolicyKind.optimal(), ttd, generate_events(ttd),
+    policy = Policy(None, ttd, generate_events(ttd),
                     np.zeros((3, T)), choices, nodes, 1e9)
     splits = SplitSchedule(np.ones((1, T + 1)), (policy.label,))
     return [policy], splits, ttd
@@ -139,7 +137,7 @@ def hand_built(links, decisions, T=4):
 def test_reached_node_without_decision_does_not_terminate():
     policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 3)], {1: 0})
     with pytest.raises(NonTerminatingTranslation, match="no route from node 2"):
-        translate(policies, splits, ttd)
+        _translate_info(policies, splits, ttd.values[0], ttd.dt)
     with pytest.raises(NonTerminatingTranslation, match="no route from node 2"):
         translate_walk(policies, splits, ttd.values[0], ttd.dt)
 
@@ -147,6 +145,6 @@ def test_reached_node_without_decision_does_not_terminate():
 def test_cycling_decisions_hit_the_hop_guard():
     policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 1), ("c", 2, 3)], {1: 0, 2: 1})
     with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
-        translate(policies, splits, ttd)
+        _translate_info(policies, splits, ttd.values[0], ttd.dt)
     with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
         translate_walk(policies, splits, ttd.values[0], ttd.dt)
