@@ -336,8 +336,7 @@ def generate_policies(
     ttd: TravelTimeDistribution, z: float | Iterable[float]
 ) -> tuple[list[Policy], EventTree]:
     """Round, build the event tree, and produce optimal + suboptimal policies."""
-    factors = z_factors(z)
     rounded = ttd if ttd.grid_rounded else round_to_grid(ttd)
     tree = generate_events(rounded)
     optimal = dot_spi(rounded, tree, rounded.destination)
-    return [optimal, *lp_policy(rounded, optimal, factors)], tree
+    return [optimal, *lp_policy(rounded, optimal, z)], tree
