@@ -96,7 +96,7 @@ def _check_out(out: Path) -> None:
         raise ParseError(f"--out {out}: {existing} is not a directory")
 
 
-def _write_run(args, command: str, config: SolverConfig | None,
+def _write_run(args, command: str, config: dict | None,
                inputs: dict[str, Path], timings: dict[str, float],
                tables: Sequence[tuple] = (), report: tuple[str, dict] | None = None,
                time_write: bool = True) -> int:
@@ -124,7 +124,7 @@ def _write_run(args, command: str, config: SolverConfig | None,
     manifest = {
         "command": command,
         "version": __version__,
-        "config": None if config is None else dataclasses.asdict(config),
+        "config": config,
         "inputs": {name: {"path": str(p),
                           "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
                    for name, p in inputs.items()},
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
                   for rec in result.trace for row in _split_rows(rec.splits))
     tables = [*_result_tables(result.final_splits, result.final_ttd),
               ("trace.csv", ["l", "policy", "t", "eta", "delta", "ms"], trace_rows)]
-    return _write_run(args, "solve", config, inputs,
+    return _write_run(args, "solve", dataclasses.asdict(config), inputs,
                       {"parse": t_parse, "solve": t_solve},
                       tables, ("summary.json", summary))
 
@@ -214,7 +214,7 @@ def cmd_load(args) -> int:
     ttd = _load(network, policies, splits, scenario, config, stats)
     t_load = time.perf_counter() - t0
 
-    return _write_run(args, "load", config, inputs,
+    return _write_run(args, "load", dataclasses.asdict(config), inputs,
                       {"parse": t_parse, "load": t_load},
                       _result_tables(splits, ttd),
                       ("summary.json", dataclasses.asdict(stats)))
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
         "counters": counters,
         "k_inner": config.k_inner,
     }
-    return _write_run(args, "bench", config, inputs, timings,
+    return _write_run(args, "bench", dataclasses.asdict(config), inputs, timings,
                       report=("bench.json", report), time_write=False)
 
 
@@ -266,14 +266,15 @@ def cmd_sweep(args) -> int:
     network, scenario, base, inputs = _inputs(args)
     t0 = time.perf_counter()
     rows = []
-    for zv in args.z_values:
-        result = msa_solve(network, scenario, dataclasses.replace(base, z=(zv,)))
+    # each value is a solve of its own, so values may repeat
+    for config in [dataclasses.replace(base, z=(zv,)) for zv in args.z_values]:
+        result = msa_solve(network, scenario, config)
         optimal_row = result.final_splits.row(result.final_policies[0].label)
         for t in range(1, result.final_splits.horizon_steps + 1):
-            rows.append([_fmt(zv), t, _fmt(optimal_row[t])])
+            rows.append([_fmt(config.z[0]), t, _fmt(optimal_row[t])])
     t_sweep = time.perf_counter() - t0
 
-    return _write_run(args, "sweep", dataclasses.replace(base, z=tuple(args.z_values)),
+    return _write_run(args, "sweep", {**dataclasses.asdict(base), "z": args.z_values},
                       inputs, {"sweep": t_sweep},
                       [("sweep.csv", ["z", "t", "eta_optimal"], rows)], time_write=False)
 

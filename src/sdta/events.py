@@ -98,9 +98,6 @@ class TravelTimeDistribution:
     def link_index(self) -> dict[str, int]:
         return {l.id: i for i, l in enumerate(self.links)}
 
-    def copy_values(self) -> np.ndarray:
-        return self.values.copy()
-
     def replace_values(self, values: np.ndarray, grid_rounded: bool = False
                        ) -> "TravelTimeDistribution":
         return TravelTimeDistribution(

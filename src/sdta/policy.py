@@ -26,16 +26,9 @@ class Policy:
     ``z`` is the inflation factor of a suboptimal policy, None for the
     optimal one."""
 
-    def __init__(
-        self,
-        z: float | None,
-        defining_ttd: TravelTimeDistribution,
-        tree: EventTree,
-        values: np.ndarray,
-        choices: np.ndarray,
-        nodes: Sequence[NodeId],
-        sentinel: float,
-    ):
+    def __init__(self, z: float | None, defining_ttd: TravelTimeDistribution, tree: EventTree,
+                 values: np.ndarray, choices: np.ndarray, nodes: Sequence[NodeId],
+                 sentinel: float):
         self.z = z
         self.defining_ttd = defining_ttd
         self.tree = tree
@@ -47,7 +40,7 @@ class Policy:
 
     @property
     def label(self) -> str:
-        return "optimal" if self.z is None else f"suboptimal[z={self.z:g}]"
+        return _label(self.z)
 
     @property
     def horizon_steps(self) -> int:
@@ -99,11 +92,16 @@ class Policy:
         return rows
 
 
-def _topology(ttd: TravelTimeDistribution):
-    """Sorted node list and per-node outgoing (link_idx, head position) lists.
+def _label(z: float | None) -> str:
+    return "optimal" if z is None else f"suboptimal[z={z:g}]"
 
-    Outgoing lists are pre-sorted by (head id, link id) so that taking the
-    first strict minimum realizes the documented tie-break.
+
+def _topology(ttd: TravelTimeDistribution):
+    """Sorted node list, node positions, each link's head position, and a
+    table of every node's out-links, padded with link L.
+
+    A node's out-links are sorted by (head id, link id), so that the first
+    strict minimum along its row realizes the documented tie-break.
     """
     nodes = {ttd.origin, ttd.destination}
     for link in ttd.links:
@@ -111,17 +109,36 @@ def _topology(ttd: TravelTimeDistribution):
         nodes.add(link.to_node)
     ordered = sorted(nodes, key=node_sort_key)
     index = {n: i for i, n in enumerate(ordered)}
-    out: list[list[tuple[int, int]]] = [[] for _ in ordered]
+    out: list[list[int]] = [[] for _ in ordered]
     for li, link in enumerate(ttd.links):
-        out[index[link.from_node]].append((li, index[link.to_node]))
-    for j, items in enumerate(out):
-        items.sort(key=lambda it: (node_sort_key(ttd.links[it[0]].to_node), ttd.links[it[0]].id))
-    return ordered, index, out
+        out[index[link.from_node]].append(li)
+    table = np.full((len(ordered), max(map(len, out)) + 1), ttd.n_links)
+    for j, links in enumerate(out):
+        links.sort(key=lambda li: (node_sort_key(ttd.links[li].to_node), ttd.links[li].id))
+        table[j, :len(links)] = links
+    heads = np.array([index[link.to_node] for link in ttd.links], dtype=np.int64)
+    return ordered, index, heads, table
 
 
 def _sentinel(ttd: TravelTimeDistribution, n_nodes: int) -> float:
     max_cost = float(ttd.values[:, :, 1:].max()) if ttd.n_links else ttd.dt
     return (ttd.horizon_steps * ttd.n_realizations + n_nodes) * max_cost + 1.0
+
+
+def _choose(cost: np.ndarray, table: np.ndarray, sentinel, d_idx: int):
+    """Every node's value and choice from link costs (..., L+1) whose entry
+    L, the padding link, is +inf: the first strict minimum along the node's
+    row of ``table``, or the sentinel and -1 where none is below it.  The
+    destination gets 0 and -1.  Returns two arrays of shape (..., nodes)."""
+    cand = cost[..., table]
+    k = cand.argmin(axis=-1)
+    best = cand.min(axis=-1)
+    reach = best < sentinel
+    values = np.where(reach, best, sentinel)
+    choices = np.where(reach, table[np.arange(table.shape[0]), k], -1)
+    values[..., d_idx] = 0.0
+    choices[..., d_idx] = -1
+    return values, choices
 
 
 def horizon_shortest(
@@ -135,12 +152,10 @@ def horizon_shortest(
     final-step event and one row per node; choice -1 marks the destination
     and unreachable nodes.
     """
-    nodes, node_index, out = _topology(ttd)
+    nodes, node_index, heads, table = _topology(ttd)
     T = ttd.horizon_steps
     level = tree.events_at(T)
     sentinel = _sentinel(ttd, len(nodes))
-    e_T = np.full((len(nodes), len(level)), sentinel)
-    choice_T = np.full((len(nodes), len(level)), -1, dtype=np.int64)
     d_idx = node_index[dest]
 
     # reversed adjacency: for each head node, incoming (tail, link, cost idx)
@@ -149,6 +164,7 @@ def horizon_shortest(
         incoming[node_index[link.to_node]].append((node_index[link.from_node], li))
 
     masses = tree.masses[tree.start[T]:]
+    cand = np.full((len(level), ttd.n_links + 1), np.inf)
     for e_idx, event in enumerate(level):
         support = list(event.support)
         weights = ttd.probabilities[support] / masses[e_idx]
@@ -166,88 +182,64 @@ def horizon_shortest(
                 if nd < dist[tail]:
                     dist[tail] = nd
                     heapq.heappush(heap, (nd, tail))
-        for j in range(len(nodes)):
-            if j == d_idx:
-                e_T[j, e_idx] = 0.0
-                continue
-            best = sentinel
-            best_li = -1
-            for li, head in out[j]:
-                cand = cost[li] + dist[head]
-                if cand < best and dist[head] < sentinel:
-                    best, best_li = cand, li
-            if best_li >= 0:
-                e_T[j, e_idx] = best
-                choice_T[j, e_idx] = best_li
-    return e_T, choice_T
+        # a head that cannot reach the destination keeps its links at or
+        # above the sentinel, so none of them is chosen
+        cand[e_idx, :-1] = cost + np.array(dist)[heads]
+    e_T, choice_T = _choose(cand, table, sentinel, d_idx)
+    return e_T.T, choice_T.T
 
 
-def _run_dot_spi(
-    ttd: TravelTimeDistribution,
-    tree: EventTree,
-    dest: NodeId,
-    z: float | None,
-) -> Policy:
-    if not ttd.grid_rounded:
+def _run_dot_spi(ttds: Sequence[TravelTimeDistribution], tree: EventTree, dest: NodeId,
+                 zs: Sequence[float | None]) -> list[Policy]:
+    """One backward solve for grid-rounded distributions on one tree, one
+    policy per distribution, each with its z factor.
+
+    Every traversal takes at least ``block`` steps, so a block of that many
+    steps reads only solved levels and is one array pass for all the
+    distributions.  Each state's sum runs in a ``bincount`` bin (policy,
+    column, link) fed in (policy, step, realization, link) order: it adds
+    its realizations in ascending order from 0.0, as a running sum does.
+    """
+    if not all(ttd.grid_rounded for ttd in ttds):
         raise ValidationError("distribution must be grid-rounded first")
+    ttd = ttds[0]
     if tree.horizon_steps != ttd.horizon_steps:
         raise ValidationError("event tree horizon does not match the distribution")
-    nodes, node_index, out = _topology(ttd)
-    T = ttd.horizon_steps
-    sentinel = _sentinel(ttd, len(nodes))
-    d_idx = node_index[dest]
-
-    e_T, choice_T = horizon_shortest(ttd, tree, dest)
-    step_values: list[np.ndarray | None] = [None] * (T + 1)
-    step_choices: list[np.ndarray | None] = [None] * (T + 1)
-    step_values[T] = e_T
-    step_choices[T] = choice_T
-
-    vals = ttd.values.tolist()
-    steps = ttd.steps.tolist()
-    member = tree.member.tolist()
-    probs = ttd.probabilities.tolist()
-    masses = tree.masses.tolist()
-    start = tree.start.tolist()
-    e_list: list[list[list[float]] | None] = [None] * (T + 1)
-    e_list[T] = e_T.tolist()
-
-    for t in range(T - 1, 0, -1):
-        level = tree.events_at(t)
-        e_now = [[sentinel] * len(level) for _ in nodes]
-        c_now = [[-1] * len(level) for _ in nodes]
-        for e_idx, event in enumerate(level):
-            support = event.support
-            mass = masses[start[t] + e_idx]
-            for j in range(len(nodes)):
-                if j == d_idx:
-                    e_now[j][e_idx] = 0.0
-                    continue
-                best = sentinel
-                best_li = -1
-                for li, head in out[j]:
-                    acc = 0.0
-                    for r in support:
-                        c = vals[r][li][t]
-                        ta = t + steps[r][li][t]
-                        if ta >= T:
-                            cont = e_list[T][head][member[T][r]]
-                        else:
-                            cont = e_list[ta][head][member[ta][r]]
-                        acc += probs[r] * (c + cont)
-                    temp = acc / mass
-                    if temp >= sentinel:
-                        temp = sentinel
-                    if temp < best:
-                        best, best_li = temp, li
-                e_now[j][e_idx] = best
-                c_now[j][e_idx] = best_li
-        e_list[t] = e_now
-        step_values[t] = np.array(e_now)
-        step_choices[t] = np.array(c_now, dtype=np.int64)
-
-    return Policy(z, ttd, tree, np.hstack(step_values[1:]), np.hstack(step_choices[1:]),
-                  nodes, sentinel)
+    nodes, node_index, heads, table = _topology(ttd)
+    T, P, N, L, C = ttd.horizon_steps, len(ttds), len(nodes), ttd.n_links, tree.masses.size
+    sentinels = [_sentinel(d, N) for d in ttds]
+    sentinel = np.array(sentinels)[:, None, None]
+    values = np.empty((P, N, C))
+    choices = np.empty((P, N, C), dtype=np.int64)
+    for p, d in enumerate(ttds):
+        values[p, :, tree.start[T]:], choices[p, :, tree.start[T]:] = horizon_shortest(d, tree, dest)
+    # costs and step counts as (policy, step, realization, link)
+    cost = np.stack([d.values for d in ttds]).transpose(0, 3, 1, 2)
+    steps = np.stack([d.steps for d in ttds]).transpose(0, 3, 1, 2)
+    head_row = ((np.arange(P)[:, None] * N + heads) * C)[:, None, None]
+    r = np.arange(ttd.n_realizations)
+    block = int(steps[:, 1:T].min()) if T > 1 else 1
+    hi = T - 1
+    while hi >= 1:
+        lo = max(1, hi - block + 1)
+        c0, c1 = tree.start[lo], tree.start[hi + 1]
+        s = np.arange(lo, hi + 1)[:, None]
+        ta = np.minimum(s[:, :, None] + steps[:, lo:hi + 1], T)
+        cont = values.ravel()[head_row + tree.start[ta] + tree.member[ta, r[:, None]]]
+        terms = ttd.probabilities[:, None] * (cost[:, lo:hi + 1] + cont)
+        column = tree.start[s] + tree.member[s, r] - c0
+        # bins (policy, column, link), bin L of each left empty for the padding link
+        bins = ((np.arange(P)[:, None, None, None] * (c1 - c0) + column[:, :, None]) * (L + 1)
+                + np.arange(L))
+        acc = np.bincount(bins.ravel(), terms.ravel(), P * (c1 - c0) * (L + 1))
+        temp = np.minimum(acc.reshape(P, c1 - c0, L + 1) / tree.masses[c0:c1, None], sentinel)
+        temp[:, :, L] = np.inf
+        block_values, block_choices = _choose(temp, table, sentinel, node_index[dest])
+        values[:, :, c0:c1] = block_values.transpose(0, 2, 1)
+        choices[:, :, c0:c1] = block_choices.transpose(0, 2, 1)
+        hi = lo - 1
+    return [Policy(z, d, tree, values[p], choices[p], nodes, sentinels[p])
+            for p, (d, z) in enumerate(zip(ttds, zs, strict=True))]
 
 
 def dot_spi(ttd: TravelTimeDistribution, tree: EventTree, dest: NodeId) -> Policy:
@@ -258,7 +250,7 @@ def dot_spi(ttd: TravelTimeDistribution, tree: EventTree, dest: NodeId) -> Polic
     cost plus the continuation at the realized arrival step, with arrivals
     past the horizon clamped to the final level.
     """
-    return _run_dot_spi(ttd, tree, dest, None)
+    return _run_dot_spi([ttd], tree, dest, [None])[0]
 
 
 def check_monotone(ttd: TravelTimeDistribution) -> bool:
@@ -268,19 +260,18 @@ def check_monotone(ttd: TravelTimeDistribution) -> bool:
 
 def z_factors(z: float | Iterable[float]) -> tuple[float, ...]:
     """The inflation factors as floats, from one factor or a sequence; each
-    must be finite and exceed 1."""
+    must be finite and exceed 1, and no two may print as the same label."""
     factors = (float(z),) if isinstance(z, (int, float)) else tuple(float(v) for v in z)
     if not all(1.0 < v < math.inf for v in factors):
         raise ValidationError("every z factor must be finite and exceed 1")
+    labels = [_label(v) for v in factors]
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"z factors must have distinct labels, not {', '.join(labels)}")
     return factors
 
 
-def lp_policy(
-    ttd: TravelTimeDistribution,
-    optimal: Policy,
-    z: float | Iterable[float],
-    steps: Iterable[int] | None = None,
-) -> list[Policy]:
+def lp_policy(ttd: TravelTimeDistribution, optimal: Policy, z: float | Iterable[float],
+              steps: Iterable[int] | None = None) -> list[Policy]:
     """Suboptimal policies from inflating the optimal choices.
 
     For each factor, the optimal next link of every non-destination state
@@ -302,18 +293,21 @@ def lp_policy(
         )
     tree = optimal.tree
     steps = np.array(steps, dtype=np.int64)
-    # the optimal link of every (node, step, realization): the destination's
-    # is -1, and a link leaves one node only, so no entry is inflated twice
     choice = optimal.choices[:, tree.start[steps, None] + tree.member[steps]]
+    copies = _inflated(ttd, choice, steps, factors)
+    return _run_dot_spi(copies, tree, ttd.destination, factors) if factors else []
+
+
+def _inflated(ttd: TravelTimeDistribution, choice: np.ndarray, steps: np.ndarray,
+              factors: Sequence[float]) -> list[TravelTimeDistribution]:
+    """Grid-rounded copies of ``ttd``, one per factor, with the link
+    ``choice`` names for each (node, step, realization) made that many times
+    slower at that step.  The destination's choice is -1, and a link leaves
+    one node only, so no entry is inflated twice."""
     j, at, r = np.nonzero(choice >= 0)
-    inflated = (r, choice[j, at, r], steps[at])
-    out = []
-    for zv in factors:
-        values = ttd.copy_values()
-        values[inflated] *= zv
-        modified = round_to_grid(ttd.replace_values(values))
-        out.append(_run_dot_spi(modified, tree, ttd.destination, zv))
-    return out
+    values = np.repeat(ttd.values[None], len(factors), axis=0)
+    values[:, r, choice[j, at, r], steps[at]] *= np.array(factors)[:, None]
+    return [round_to_grid(ttd.replace_values(v)) for v in values]
 
 
 def expected_origin_times(policy: Policy, tree: EventTree) -> np.ndarray:
@@ -335,8 +329,14 @@ def expected_origin_time(policy: Policy, tree: EventTree, t: int) -> float:
 def generate_policies(
     ttd: TravelTimeDistribution, z: float | Iterable[float]
 ) -> tuple[list[Policy], EventTree]:
-    """Round, build the event tree, and produce optimal + suboptimal policies."""
+    """Round, build the event tree, and produce optimal + suboptimal policies.
+
+    The suboptimal copies inflate the optimal level-T choices, which the
+    static tail alone gives, so one backward pass solves the whole set."""
+    factors = z_factors(z)
     rounded = ttd if ttd.grid_rounded else round_to_grid(ttd)
     tree = generate_events(rounded)
-    optimal = dot_spi(rounded, tree, rounded.destination)
-    return [optimal, *lp_policy(rounded, optimal, z)], tree
+    T = np.array([rounded.horizon_steps])
+    _, choice_T = horizon_shortest(rounded, tree, rounded.destination)
+    copies = _inflated(rounded, choice_T[:, None, tree.member[T[0]]], T, factors)
+    return _run_dot_spi([rounded, *copies], tree, rounded.destination, [None, *factors]), tree

@@ -7,9 +7,12 @@ the program's array code, kept as its references: ``pick_nearest``, the
 one-level event matcher that ``events.nearest_events`` batches;
 ``disaggregate``, the commodity split of one turn flow that the engine
 makes for all turns at once; ``translate_walk``, the policy-to-path walk
-built only on ``pick_nearest``; and the per-event loops
+built only on ``pick_nearest``; the per-event loops
 ``expected_origin_time_loop`` and ``inflated_values``, which read policies
-one state at a time through ``Policy``'s lookups.
+one state at a time through ``Policy``'s lookups; and ``dot_spi_loop``
+with ``horizon_shortest_loop``, the backward induction one state, link
+and realization at a time that ``policy._run_dot_spi`` solves in blocks
+of steps for a stack of policies.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from sdta import (
     prefix_distances,
 )
 from sdta.kernels import XI
+from sdta.network import node_sort_key
+from sdta.policy import Policy, _sentinel
 
 HOP_CAP = 60
 
@@ -167,6 +172,124 @@ def tdsp_value(ttd: TravelTimeDistribution, r: int) -> float:
     return v[(ttd.origin, 1)]
 
 
+def _out_lists(ttd: TravelTimeDistribution):
+    """Sorted nodes, node positions, and each node's (link, head position)
+    list sorted by (head id, link id), the documented tie-break."""
+    nodes = {ttd.origin, ttd.destination}
+    for link in ttd.links:
+        nodes.update((link.from_node, link.to_node))
+    ordered = sorted(nodes, key=node_sort_key)
+    index = {n: i for i, n in enumerate(ordered)}
+    out = [[] for _ in ordered]
+    for li, link in enumerate(ttd.links):
+        out[index[link.from_node]].append((li, index[link.to_node]))
+    for items in out:
+        items.sort(key=lambda it: (node_sort_key(ttd.links[it[0]].to_node), ttd.links[it[0]].id))
+    return ordered, index, out
+
+
+def horizon_shortest_loop(ttd: TravelTimeDistribution, tree, dest):
+    """Final-step times and choices per (node, event): a heap Dijkstra on
+    in-event expected costs, then the first strict minimum over each node's
+    out-links whose head reaches the destination."""
+    nodes, node_index, out = _out_lists(ttd)
+    T = ttd.horizon_steps
+    level = tree.events_at(T)
+    sentinel = _sentinel(ttd, len(nodes))
+    e_T = np.full((len(nodes), len(level)), sentinel)
+    choice_T = np.full((len(nodes), len(level)), -1, dtype=np.int64)
+    d_idx = node_index[dest]
+    incoming = [[] for _ in nodes]
+    for li, link in enumerate(ttd.links):
+        incoming[node_index[link.to_node]].append((node_index[link.from_node], li))
+    masses = tree.masses[tree.start[T]:]
+    for e_idx, event in enumerate(level):
+        support = list(event.support)
+        weights = ttd.probabilities[support] / masses[e_idx]
+        cost = weights @ ttd.values[support, :, T]
+        dist = [sentinel] * len(nodes)
+        dist[d_idx] = 0.0
+        heap = [(0.0, d_idx)]
+        while heap:
+            d, j = heapq.heappop(heap)
+            if d > dist[j]:
+                continue
+            for tail, li in incoming[j]:
+                nd = d + cost[li]
+                if nd < dist[tail]:
+                    dist[tail] = nd
+                    heapq.heappush(heap, (nd, tail))
+        for j in range(len(nodes)):
+            if j == d_idx:
+                e_T[j, e_idx] = 0.0
+                continue
+            best = sentinel
+            best_li = -1
+            for li, head in out[j]:
+                cand = cost[li] + dist[head]
+                if cand < best and dist[head] < sentinel:
+                    best, best_li = cand, li
+            if best_li >= 0:
+                e_T[j, e_idx] = best
+                choice_T[j, e_idx] = best_li
+    return e_T, choice_T
+
+
+def dot_spi_loop(ttd: TravelTimeDistribution, tree, dest, z=None) -> Policy:
+    """The policy of one grid-rounded distribution by backward induction,
+    one (step, event, node, link) at a time: each state's expectation is a
+    running sum over the event's realizations in ascending order."""
+    nodes, node_index, out = _out_lists(ttd)
+    T = ttd.horizon_steps
+    sentinel = _sentinel(ttd, len(nodes))
+    d_idx = node_index[dest]
+
+    e_T, choice_T = horizon_shortest_loop(ttd, tree, dest)
+    step_values = [None] * (T + 1)
+    step_choices = [None] * (T + 1)
+    step_values[T] = e_T
+    step_choices[T] = choice_T
+
+    vals = ttd.values.tolist()
+    steps = ttd.steps.tolist()
+    member = tree.member.tolist()
+    probs = ttd.probabilities.tolist()
+    masses = tree.masses.tolist()
+    start = tree.start.tolist()
+    e_list = [None] * (T + 1)
+    e_list[T] = e_T.tolist()
+
+    for t in range(T - 1, 0, -1):
+        level = tree.events_at(t)
+        e_now = [[sentinel] * len(level) for _ in nodes]
+        c_now = [[-1] * len(level) for _ in nodes]
+        for e_idx, event in enumerate(level):
+            mass = masses[start[t] + e_idx]
+            for j in range(len(nodes)):
+                if j == d_idx:
+                    e_now[j][e_idx] = 0.0
+                    continue
+                best = sentinel
+                best_li = -1
+                for li, head in out[j]:
+                    acc = 0.0
+                    for r in event.support:
+                        c = vals[r][li][t]
+                        ta = min(t + steps[r][li][t], T)
+                        acc += probs[r] * (c + e_list[ta][head][member[ta][r]])
+                    temp = min(acc / mass, sentinel)
+                    if temp < best:
+                        best, best_li = temp, li
+                e_now[j][e_idx] = best
+                c_now[j][e_idx] = best_li
+        e_list[t] = e_now
+        step_values[t] = np.array(e_now)
+        step_choices[t] = np.array(c_now, dtype=np.int64)
+
+    return Policy(z, ttd, tree, np.hstack(step_values[1:]), np.hstack(step_choices[1:]),
+                  nodes, sentinel)
+
+
 def pick_nearest(level, distances: np.ndarray):
     """Event of ``level`` minimizing the support-summed distance; ties break
     on the lowest contained realization index."""
@@ -201,7 +324,7 @@ def inflated_values(ttd: TravelTimeDistribution, optimal, z: float, steps) -> np
     """Travel times with the optimal link of every non-destination state at
     the given steps made z times slower, for all realizations of the
     state's event: the program's former (step, event, node) loop."""
-    values = ttd.copy_values()
+    values = ttd.values.copy()
     for t in steps:
         for event in optimal.tree.events_at(t):
             for node in optimal.nodes:

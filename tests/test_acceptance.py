@@ -6,6 +6,7 @@ stays within a desk-scale time budget.
 """
 
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -141,19 +142,20 @@ def test_c05_loader_agreement(equilibria):
 
 
 def test_c06_chronological_loader_is_faster(equilibria):
-    speedups = {}
+    loads = {}
     for name in ("twolinks", "diamond"):
         net, scn = equilibria[name]
         result, _ = equilibria[(name, "chrono")]
         policies, tree = generate_policies(result.final_ttd, (1.5, 2.0))
         splits = splits_for(policies, tree, PARAMS)
-        t_chrono = min(
-            _timed(po_ltm, net, policies, splits, scn) for _ in range(2)
+        loads[name, "chrono"] = functools.partial(po_ltm, net, policies, splits, scn)
+        loads[name, "iter"] = functools.partial(
+            iterative_loading, net, policies, splits, scn, k_inner=5
         )
-        t_iter = min(
-            _timed(iterative_loading, net, policies, splits, scn, k_inner=5)
-            for _ in range(2)
-        )
+    best = _interleaved_minima(loads, rounds=2)
+    speedups = {}
+    for name in ("twolinks", "diamond"):
+        t_chrono, t_iter = best[name, "chrono"], best[name, "iter"]
         speedups[name] = t_iter / t_chrono
         assert t_chrono < t_iter, f"{name}: chronological not faster"
     assert speedups["diamond"] >= 2.0
@@ -164,6 +166,17 @@ def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
+
+
+def _interleaved_minima(loads, rounds):
+    """Each call's fastest time over ``rounds`` rounds, every round timing
+    every call once, in order.  A swing in host speed then reaches all the
+    calls alike instead of the samples of one of them."""
+    best = dict.fromkeys(loads, float("inf"))
+    for _ in range(rounds):
+        for key, load in loads.items():
+            best[key] = min(best[key], _timed(load))
+    return best
 
 
 def test_c07_kernel_values_and_conservation():
@@ -260,22 +273,17 @@ def _scaling_setup(net, scn, zs):
     return policies, splits_for(policies, tree, PARAMS)
 
 
-def _best_load_time(net, policies, splits, scn, repeats=3):
-    return min(
-        _timed(po_ltm, net, policies, splits, scn) for _ in range(repeats)
-    )
-
-
 def test_c08c_runtime_linear_in_policy_count():
     net = load_network("sf")
     scn = load_scenario("sf", net, steps=250)
     ws = np.array([2, 3, 4, 5, 6])
-    times = []
+    loads = {}
     for w in ws:
         zs = tuple(1.5 + 0.5 * i for i in range(w - 1))
         policies, splits = _scaling_setup(net, scn, zs)
-        times.append(_best_load_time(net, policies, splits, scn))
-    times = np.array(times)
+        loads[w] = functools.partial(po_ltm, net, policies, splits, scn)
+    best = _interleaved_minima(loads, rounds=3)
+    times = np.array([best[w] for w in ws])
     slope, intercept = np.polyfit(ws, times, 1)
     fitted = intercept + slope * ws
     ratios = times / fitted
@@ -287,11 +295,13 @@ def test_c08d_runtime_superlinear_in_realizations():
     net = load_network("sf")
     base = load_scenario("sf", net, steps=250)
     grid = (2, 4, 8, 16)
-    times = []
+    loads = {}
     for count in grid:
         scn = with_realizations(base, count, seed=7)
         policies, splits = _scaling_setup(net, scn, (1.5,))
-        times.append(_best_load_time(net, policies, splits, scn))
+        loads[count] = functools.partial(po_ltm, net, policies, splits, scn)
+    best = _interleaved_minima(loads, rounds=3)
+    times = [best[count] for count in grid]
     increments = np.diff(times)
     assert np.all(increments > 0.0), f"times {times}"
     for a, b in zip(increments, increments[1:]):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import sdta.policy
 from sdta import fixture_path
 from sdta.cli import main
 
@@ -184,11 +185,12 @@ def test_sweep_manifest_records_the_config(tmp_path):
     assert run(
         "sweep", "twolinks", "twolinks", "--loader", "iter",
         "--steps", "40", "--iters", "1", "--inner-iters", "1",
-        "--z-values", "1.5", "3.0", "--out", str(out),
+        "--z-values", "1.5", "3.0", "1.5", "--out", str(out),
     ) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["loader"] == "iter"
-    assert config["z"] == [1.5, 3.0]
+    # each value is a solve of its own, so a repeated one is kept as given
+    assert config["z"] == [1.5, 3.0, 1.5]
 
 
 def test_unknown_fixture_name_is_exit_2():
@@ -377,6 +379,24 @@ def test_non_finite_solver_setting_is_exit_3_before_work(tmp_path, capsys, argv,
     steps = ["--steps", "30"] if argv[0] == "solve" else []
     assert run(*argv, *steps, "--out", str(out)) == 3
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "twolinks", "twolinks", "--steps", "30", "--iters", "1", "--z", "1.5", "1.5"],
+    ["solve", "twolinks", "twolinks", "--steps", "30", "--policies", "3", "--z", "2", "2.0"],
+    ["load", "twolinks", "twolinks", "--steps", "30", "--z", "1.5", "1.5000001"],
+    ["policies", "parallel3", "--z", "2", "2"],
+])
+def test_z_factors_with_one_label_are_exit_3_before_work(tmp_path, capsys, argv, monkeypatch):
+    # two policies with one label would collide in the split table; the
+    # factors are refused before any policy is generated
+    def solve(*args):
+        raise AssertionError("a policy was solved")
+    monkeypatch.setattr(sdta.policy, "_run_dot_spi", solve)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 3
+    assert "z factors must have distinct labels" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_min_expected, random_small_ttd, tdsp_value
+from oracles import (
+    dot_spi_loop,
+    enumerate_min_expected,
+    inflated_values,
+    random_small_ttd,
+    tdsp_value,
+)
 from sdta import (
     LinkRef,
     MonotonicityRequired,
@@ -15,6 +23,7 @@ from sdta import (
     generate_events,
     generate_policies,
     lp_policy,
+    round_to_grid,
 )
 
 
@@ -248,3 +257,93 @@ def test_strictly_increasing_time_check():
         [LinkRef("a", 1, 2)], 1, 2, grid_rounded=True,
     )
     assert not check_monotone(flat)
+
+
+# origin 1, destination 4; d is c's twin, so every choice between them is a
+# tie; node 5 is a dead end, and node 6 leads only to it, so neither can
+# reach the destination
+BLOCK_LINKS = (("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 2, 4), ("e", 3, 4),
+               ("f", 2, 3), ("g", 3, 2), ("h", 1, 5), ("i", 3, 6), ("j", 6, 5))
+
+
+@st.composite
+def blocked_ttds(draw, monotone=False):
+    """Distributions whose backward solve runs in blocks of several steps.
+
+    10-30 steps of a dt other than 1; every travel time takes at least
+    ``least`` (2-6) steps; up to 8 realizations with uneven probabilities,
+    each sharing the times of an earlier one up to a drawn step, so events
+    of several members live for several levels.  The values are off the
+    grid by up to 0.3 dt.  ``monotone`` makes every travel time strictly
+    increase over departure steps.
+    """
+    T = draw(st.integers(10, 30))
+    least = draw(st.integers(2, 6))
+    R = draw(st.integers(1, 8))
+    dt = draw(st.sampled_from([0.5, 0.7, 2.0, 3.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = len(BLOCK_LINKS)
+    if monotone:
+        steps = rng.integers(1, 3, size=(R, L, T))
+        steps[:, :, 0] = rng.integers(least, least + 4, size=(R, L))
+    else:
+        steps = rng.integers(least, least + 5, size=(R, L, T))
+    for r in range(1, R):
+        shared = rng.integers(0, T + 1)
+        steps[r, :, :shared] = steps[rng.integers(0, r), :, :shared]
+    steps[:, 3] = steps[:, 2]
+    if monotone:
+        steps = np.cumsum(steps, axis=2)
+    values = (steps + rng.uniform(-0.3, 0.3, size=steps.shape)) * dt
+    weights = rng.uniform(0.1, 1.0, size=R)
+    return TravelTimeDistribution(
+        np.concatenate([values[:, :, :1], values], axis=2), dt, weights / weights.sum(),
+        [LinkRef(*link) for link in BLOCK_LINKS], 1, 4,
+    )
+
+
+Z_SETS = st.lists(st.sampled_from([1.1, 1.25, 1.5, 2.0, 3.0, 7.3]),
+                  min_size=1, max_size=3, unique=True)
+
+
+def loop_policies(rounded, tree, zs, steps):
+    """The optimal policy and one inflated policy per factor, each solved by
+    the loop oracle."""
+    optimal = dot_spi_loop(rounded, tree, rounded.destination)
+    return [optimal, *(
+        dot_spi_loop(round_to_grid(rounded.replace_values(
+            inflated_values(rounded, optimal, z, steps))), tree, rounded.destination, z)
+        for z in zs
+    )]
+
+
+def assert_same_policies(got, want):
+    assert [p.label for p in got] == [p.label for p in want]
+    for a, b in zip(got, want, strict=True):
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.choices.tobytes() == b.choices.tobytes()
+        assert a.sentinel == b.sentinel
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocked_ttds(), Z_SETS)
+def test_policy_set_matches_the_loop_bit_for_bit(ttd, zs):
+    policies, tree = generate_policies(ttd, zs)
+    rounded = policies[0].defining_ttd
+    T = rounded.horizon_steps
+    assert rounded.steps[:, :, 1:T].min() >= 2  # blocks span several steps
+    assert_same_policies(policies, loop_policies(rounded, tree, zs, [T]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_ttds(monotone=True), Z_SETS, st.data())
+def test_interior_step_policies_match_the_loop_bit_for_bit(ttd, zs, data):
+    rounded = round_to_grid(ttd)
+    assert check_monotone(rounded)
+    tree = generate_events(rounded)
+    T = rounded.horizon_steps
+    steps = data.draw(st.lists(st.integers(1, T), min_size=1, max_size=4, unique=True))
+    optimal = dot_spi(rounded, tree, rounded.destination)
+    got = [optimal, *lp_policy(rounded, optimal, zs, steps=steps)]
+    assert_same_policies(got, loop_policies(rounded, tree, zs, sorted(steps)))
