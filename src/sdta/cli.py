@@ -16,10 +16,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
+import yaml
 
 from . import __version__
 from .choice import splits_for
@@ -108,6 +113,9 @@ def _write_run(args, command: str, config: dict | None,
     command leaves no directory.  Each table is a file name, a header and
     an iterable of rows, which streams to disk.  The seconds spent on
     tables and report are the "write" timing when ``time_write`` is set.
+    The manifest's "environment" records what timings depend on: the
+    Python, numpy and PyYAML versions, whether documents were parsed by
+    libyaml, and the CPU count.
     """
     t0 = time.perf_counter()
     out = Path(args.out)
@@ -129,6 +137,9 @@ def _write_run(args, command: str, config: dict | None,
                           "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
                    for name, p in inputs.items()},
         "timing_s": {k: round(v, 6) for k, v in timings.items()},
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "pyyaml": yaml.__version__, "libyaml": yaml.__with_libyaml__,
+                        "cpu_count": os.cpu_count()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(json.dumps(report[1]) if report else f"wrote {out / tables[0][0]}")

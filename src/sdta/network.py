@@ -199,10 +199,43 @@ def validate(network: Network) -> list[str]:
     return out
 
 
+class _UniqueKeys:
+    """Constructor mixin: a key repeated within one mapping is an error, not
+    a silent overwrite.  Keys a merge (``<<``) brings in may still be
+    overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key_node for key_node, _ in node.value
+               if key_node.tag != "tag:yaml.org,2002:merge"]
+        # merges resolved and "=" keys made text first; the base's own
+        # flatten_mapping then finds nothing left to do
+        self.flatten_mapping(node)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: the base constructor reports it
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found a repeated key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+class _Loader(_UniqueKeys, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """libyaml's C parser where PyYAML was built with it, else the Python
+    one.  Construction is PyYAML's Python SafeConstructor either way, so
+    every value keeps its type."""
+
+
 def read_mapping(document: Document) -> Mapping[str, Any]:
     """The root mapping of a document.  Every parser reads its document here:
-    an unreadable file (missing, a directory, not UTF-8), invalid YAML or a
-    root of another shape is a ParseError."""
+    an unreadable file (missing, a directory, not UTF-8), invalid YAML, a
+    key repeated within one mapping or a root of another shape is a
+    ParseError."""
     if isinstance(document, Path):
         try:
             document = document.read_text(encoding="utf-8")
@@ -210,7 +243,7 @@ def read_mapping(document: Document) -> Mapping[str, Any]:
             raise ParseError(f"cannot read {document}: {err}") from None
     if isinstance(document, str):
         try:
-            document = yaml.safe_load(document)
+            document = yaml.load(document, Loader=_Loader)
         except yaml.YAMLError as err:
             raise ParseError(f"invalid document: {err}") from err
     return shaped(document, "a mapping", "document root")

@@ -190,9 +190,12 @@ def horizon_shortest(
 
 
 def _run_dot_spi(ttds: Sequence[TravelTimeDistribution], tree: EventTree, dest: NodeId,
-                 zs: Sequence[float | None]) -> list[Policy]:
+                 zs: Sequence[float | None],
+                 first_horizon: tuple[np.ndarray, np.ndarray] | None = None) -> list[Policy]:
     """One backward solve for grid-rounded distributions on one tree, one
-    policy per distribution, each with its z factor.
+    policy per distribution, each with its z factor.  ``first_horizon``,
+    when given, is ``horizon_shortest`` of the first distribution, which is
+    then not solved again.
 
     Every traversal takes at least ``block`` steps, so a block of that many
     steps reads only solved levels and is one array pass for all the
@@ -212,7 +215,9 @@ def _run_dot_spi(ttds: Sequence[TravelTimeDistribution], tree: EventTree, dest: 
     values = np.empty((P, N, C))
     choices = np.empty((P, N, C), dtype=np.int64)
     for p, d in enumerate(ttds):
-        values[p, :, tree.start[T]:], choices[p, :, tree.start[T]:] = horizon_shortest(d, tree, dest)
+        values[p, :, tree.start[T]:], choices[p, :, tree.start[T]:] = (
+            first_horizon if p == 0 and first_horizon is not None
+            else horizon_shortest(d, tree, dest))
     # costs and step counts as (policy, step, realization, link)
     cost = np.stack([d.values for d in ttds]).transpose(0, 3, 1, 2)
     steps = np.stack([d.steps for d in ttds]).transpose(0, 3, 1, 2)
@@ -337,6 +342,7 @@ def generate_policies(
     rounded = ttd if ttd.grid_rounded else round_to_grid(ttd)
     tree = generate_events(rounded)
     T = np.array([rounded.horizon_steps])
-    _, choice_T = horizon_shortest(rounded, tree, rounded.destination)
+    e_T, choice_T = horizon_shortest(rounded, tree, rounded.destination)
     copies = _inflated(rounded, choice_T[:, None, tree.member[T[0]]], T, factors)
-    return _run_dot_spi([rounded, *copies], tree, rounded.destination, [None, *factors]), tree
+    return _run_dot_spi([rounded, *copies], tree, rounded.destination, [None, *factors],
+                        (e_T, choice_T)), tree

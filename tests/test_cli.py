@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -76,6 +79,13 @@ def test_solve_writes_result_tables(tmp_path):
     assert manifest["command"] == "solve"
     assert "sha256" in manifest["inputs"]["network"]
     assert "timing_s" in manifest
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "pyyaml", "libyaml", "cpu_count"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["pyyaml"] == yaml.__version__
+    assert environment["libyaml"] is yaml.__with_libyaml__
+    assert environment["cpu_count"] == os.cpu_count()
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdta.policy
 from oracles import (
     dot_spi_loop,
     enumerate_min_expected,
@@ -178,6 +179,20 @@ def test_generated_policy_labels(parallel3):
     assert policies[0].z is None and policies[0].label == "optimal"
     assert policies[1].z == pytest.approx(1.5)
     assert policies[2].z == pytest.approx(2.0)
+
+
+def test_policy_set_solves_the_final_step_once_per_policy(parallel3, monkeypatch):
+    # the optimal final step gives the choices the copies inflate, and the
+    # backward pass takes it as it is
+    calls = []
+    solve = sdta.policy.horizon_shortest
+    monkeypatch.setattr(sdta.policy, "horizon_shortest",
+                        lambda *args: calls.append(args[0]) or solve(*args))
+    policies, tree = generate_policies(parallel3, (1.5, 2.0))
+    assert calls == [p.defining_ttd for p in policies]
+    direct = dot_spi(parallel3, tree, parallel3.destination)
+    assert np.array_equal(policies[0].values, direct.values)
+    assert np.array_equal(policies[0].choices, direct.choices)
 
 
 def test_inflated_policies_never_beat_optimal():
