@@ -33,11 +33,9 @@ from .scenario import (
     with_realizations,
 )
 from .events import (
-    Event,
     EventTree,
     LinkRef,
     TravelTimeDistribution,
-    event_probability,
     free_flow_distribution,
     generate_events,
     links_of,
@@ -103,8 +101,8 @@ __all__ = [
     "serialize_network",
     "Realization", "Scenario", "parse_scenario", "perturbed",
     "with_realizations",
-    "Event", "EventTree", "LinkRef", "TravelTimeDistribution",
-    "event_probability", "free_flow_distribution", "generate_events",
+    "EventTree", "LinkRef", "TravelTimeDistribution",
+    "free_flow_distribution", "generate_events",
     "links_of", "parse_ttd", "prefix_distances", "round_to_grid",
     "Policy", "check_monotone", "dot_spi",
     "expected_origin_time", "generate_policies", "horizon_shortest",

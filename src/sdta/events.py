@@ -134,67 +134,66 @@ def round_to_grid(ttd: TravelTimeDistribution) -> TravelTimeDistribution:
     return ttd.replace_values(steps * ttd.dt, grid_rounded=True)
 
 
-@dataclass(frozen=True)
-class Event:
-    """A set of realizations indistinguishable before ``time``."""
-
-    support: tuple[int, ...]   # sorted realization positions, 0-based
-    time: int                  # step the partition belongs to
-
-    def __post_init__(self):
-        if not self.support:
-            raise ValidationError("event support cannot be empty")
-        if list(self.support) != sorted(set(self.support)):
-            raise ValidationError("event support must be sorted and unique")
-
-
 class EventTree:
     """Per-step partitions of the realizations, refining over time.
 
-    Each event of steps 1..T owns one column of a per-event table, level 0
-    reusing level 1's: realization r's event at step t is column
-    ``start[t] + member[t, r]``, of step ``level_of`` and mass ``masses``.
+    ``member[t, r]`` is realization r's event at step t, numbered from 0
+    within the step; row 0 repeats row 1.  Each event of steps 1..T owns
+    one column of a per-event table: realization r's event at step t is
+    column ``start[t] + member[t, r]``, of step ``level_of`` and mass
+    ``masses``.  A mass is the sum of its members' probabilities in
+    ascending order, bit-equal to numpy's sum over them.
     """
 
-    def __init__(self, levels: Sequence[Sequence[Event]], probabilities: np.ndarray):
-        self.levels = tuple(tuple(level) for level in levels)  # index 1..T, [0] mirrors [1]
-        if len(self.levels) < 2 or self.levels[0] != self.levels[1]:
-            raise ValidationError("level 0 must repeat level 1")
+    def __init__(self, member: np.ndarray, probabilities: np.ndarray):
+        member = np.asarray(member, dtype=np.int64)
         self.probabilities = np.asarray(probabilities, dtype=float)
         R = self.probabilities.size
-        member = np.full((len(self.levels), R), -1, dtype=np.int64)
-        masses = []
-        for t, level in enumerate(self.levels):
-            for e_idx, event in enumerate(level):
-                for r in event.support:
-                    member[t, r] = e_idx
-                if t >= 1:
-                    masses.append(self.mass(event))
-        if np.any(member[1:] < 0):
-            raise ValidationError("levels must partition all realizations")
-        self.member = member
-        sizes = np.array([len(level) for level in self.levels[1:]], dtype=np.int64)
+        if member.ndim != 2 or member.shape[1] != R or R == 0:
+            raise ValidationError(f"member needs one column per realization, {R} of them")
+        if member.shape[0] < 2 or not np.array_equal(member[0], member[1]):
+            raise ValidationError("level 0 must repeat level 1")
+        sizes = member[1:].max(axis=1) + 1
         start = np.cumsum(sizes) - sizes
+        self.member = member
         self.start = np.concatenate([start[:1], start])
-        self.level_of = np.repeat(np.arange(1, len(self.levels)), sizes)
-        self.masses = np.array(masses)
+        self.level_of = np.repeat(np.arange(1, member.shape[0]), sizes)
+        columns = (self.start[1:, None] + member[1:]).ravel()
+        if member.min() < 0 or np.any(np.bincount(columns) == 0):
+            raise ValidationError("every step's events must be numbered 0, 1, ... without gaps")
+        weights = np.tile(self.probabilities, member.shape[0] - 1)
+        self.masses = np.bincount(columns, weights)  # one by one, in ascending order
+        if R >= PAIRWISE_MIN:
+            _pairwise_sums(columns, weights, self.masses)
 
     @property
     def horizon_steps(self) -> int:
-        return len(self.levels) - 1
+        return self.member.shape[0] - 1
 
     @property
     def n_realizations(self) -> int:
         return self.probabilities.size
 
-    def events_at(self, t: int) -> tuple[Event, ...]:
-        return self.levels[t]
+    def events_at(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """The supports of step t's events, in event order: each the sorted
+        positions of its realizations."""
+        return self._supports[t]
 
-    def event_of(self, t: int, realization: int) -> Event:
-        return self.levels[t][self.member[t, realization]]
-
-    def mass(self, event: Event) -> float:
-        return float(self.probabilities[list(event.support)].sum())
+    @cached_property
+    def _supports(self) -> list[tuple[tuple[int, ...], ...]]:
+        """``events_at`` of every step, read off ``member`` at the first
+        call: one bucket pass per run of equal rows, as a row repeats the
+        one before between two splits."""
+        runs = np.flatnonzero(np.any(self.member[1:] != self.member[:-1], axis=1)) + 1
+        bounds = [0, *runs.tolist(), self.member.shape[0]]
+        out: list[tuple[tuple[int, ...], ...]] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            row = self.member[lo].tolist()
+            supports: list[list[int]] = [[] for _ in range(max(row) + 1)]
+            for r, e in enumerate(row):
+                supports[e].append(r)
+            out += [tuple(map(tuple, supports))] * (hi - lo)
+        return out
 
 
 def generate_events(ttd: TravelTimeDistribution) -> EventTree:
@@ -203,38 +202,34 @@ def generate_events(ttd: TravelTimeDistribution) -> EventTree:
     Theta(1) is the single full-support event; each later level refines the
     previous one by the travel times revealed one step earlier.  Values are
     compared as integer step counts, so equality is exact.
+
+    Two realizations share every event up to their separation level, 1 +
+    the first step at which they differ on any link (T + 1 if never), so
+    the partition splits only at those levels, at most R - 1 of them, and
+    every other level repeats the one before.  A level numbers its events
+    by their parent event, then by their lowest realization.
     """
     steps = ttd.steps  # requires grid rounding
     R, _, width = steps.shape
     T = width - 1
-    groups: list[tuple[int, ...]] = [tuple(range(R))]
-    levels: list[list[Event]] = [[], [Event(tuple(range(R)), 1)]]
-    for t in range(2, T + 1):
-        refined: list[tuple[int, ...]] = []
-        for group in groups:
-            if len(group) == 1:
-                refined.append(group)
-                continue
-            buckets: dict[bytes, list[int]] = {}
-            for r in group:
-                buckets.setdefault(steps[r, :, t - 1].tobytes(), []).append(r)
-            # deterministic order: by lowest realization in each bucket
-            refined.extend(tuple(b) for b in sorted(buckets.values()))
-        groups = refined
-        levels.append([Event(g, t) for g in groups])
-    levels[0] = levels[1]
-    tree = EventTree(levels, ttd.probabilities)
-    return tree
-
-
-def event_probability(tree: EventTree, event: Event, parent: Event | None = None) -> float:
-    """Mass of an event, optionally conditional on a parent event."""
-    mass = tree.mass(event)
-    if parent is None:
-        return mass
-    if not set(event.support) <= set(parent.support):
-        raise ValidationError("event is not contained in the given parent")
-    return mass / tree.mass(parent)
+    # separation levels of every pair, one realization against the later
+    # ones; a last column that always differs stands for "never"
+    separation = np.full((R, R), T + 1, dtype=np.int64)
+    for r in range(R - 1):
+        differ = np.ones((R - r - 1, T), dtype=bool)
+        differ[:, :-1] = (steps[r + 1:, :, 1:T] != steps[r, :, 1:T]).any(axis=1)
+        separation[r, r + 1:] = separation[r + 1:, r] = differ.argmax(axis=1) + 2
+    splits = sorted(set(separation[separation <= T].tolist()))
+    rows = [np.zeros(R, dtype=np.int64)]
+    for t in splits:
+        # an event is named by its parent and its lowest realization, and
+        # numbered in the order of those names
+        name = rows[-1] * R + (separation > t).argmax(axis=0)
+        taken = np.zeros(R * R, dtype=bool)
+        taken[name] = True
+        rows.append(np.cumsum(taken)[name] - 1)
+    row_at = np.searchsorted(splits, np.arange(T + 1), side="right")
+    return EventTree(np.stack(rows)[row_at], ttd.probabilities)
 
 
 def step_distances(defining: np.ndarray, observed: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MonotonicityRequired, ValidationError
-from .events import Event, EventTree, TravelTimeDistribution, generate_events, round_to_grid
+from .events import EventTree, TravelTimeDistribution, generate_events, round_to_grid
 from .network import NodeId, node_sort_key
 
 
@@ -46,36 +46,38 @@ class Policy:
     def horizon_steps(self) -> int:
         return self.tree.horizon_steps
 
-    def _state(self, node: NodeId, t: int, event: Event) -> tuple[int, int]:
+    def _state(self, node: NodeId, t: int, realization: int) -> tuple[int, int]:
+        """Row and column of the state of ``node`` at step t (clamped to
+        1..T) in the event that holds ``realization``."""
         tree = self.tree
+        if not 0 <= realization < tree.n_realizations:
+            raise ValidationError(
+                f"realization {realization} is not one of 0..{tree.n_realizations - 1}")
         t = max(1, min(int(t), tree.horizon_steps))
-        e_idx = int(tree.member[t, event.support[0]])
-        if tree.events_at(t)[e_idx] != event:
-            raise ValidationError(f"event {event.support} is not one of step {t}'s events")
-        return self.node_index[node], int(tree.start[t]) + e_idx
+        return self.node_index[node], int(tree.start[t] + tree.member[t, realization])
 
-    def expected_time(self, node: NodeId, t: int, event: Event) -> float:
-        return float(self.values[self._state(node, t, event)])
+    def expected_time(self, node: NodeId, t: int, realization: int) -> float:
+        return float(self.values[self._state(node, t, realization)])
 
-    def next_link(self, node: NodeId, t: int, event: Event) -> str | None:
-        li = int(self.choices[self._state(node, t, event)])
+    def next_link(self, node: NodeId, t: int, realization: int) -> str | None:
+        li = int(self.choices[self._state(node, t, realization)])
         return None if li < 0 else self.defining_ttd.links[li].id
 
-    def next_node(self, node: NodeId, t: int, event: Event) -> NodeId:
-        li = int(self.choices[self._state(node, t, event)])
+    def next_node(self, node: NodeId, t: int, realization: int) -> NodeId:
+        li = int(self.choices[self._state(node, t, realization)])
         if li < 0:
             return node if node == self.defining_ttd.destination else None
         return self.defining_ttd.links[li].to_node
 
-    def is_unreachable(self, node: NodeId, t: int, event: Event) -> bool:
-        return self.expected_time(node, t, event) >= self.sentinel
+    def is_unreachable(self, node: NodeId, t: int, realization: int) -> bool:
+        return self.expected_time(node, t, realization) >= self.sentinel
 
     def export_rows(self) -> list[tuple]:
         """(node, t, support, next_node, via_link, expected_s) for all states."""
         rows = []
         links = self.defining_ttd.links
         for t in range(1, self.horizon_steps + 1):
-            for e_idx, event in enumerate(self.tree.events_at(t)):
+            for e_idx, support in enumerate(self.tree.events_at(t)):
                 column = int(self.tree.start[t]) + e_idx
                 for j, node in enumerate(self.nodes):
                     li = int(self.choices[j, column])
@@ -83,7 +85,7 @@ class Policy:
                         (
                             node,
                             t,
-                            event.support,
+                            support,
                             links[li].to_node if li >= 0 else node,
                             links[li].id if li >= 0 else "",
                             float(self.values[j, column]),
@@ -154,7 +156,6 @@ def horizon_shortest(
     """
     nodes, node_index, heads, table = _topology(ttd)
     T = ttd.horizon_steps
-    level = tree.events_at(T)
     sentinel = _sentinel(ttd, len(nodes))
     d_idx = node_index[dest]
 
@@ -164,10 +165,10 @@ def horizon_shortest(
         incoming[node_index[link.to_node]].append((node_index[link.from_node], li))
 
     masses = tree.masses[tree.start[T]:]
-    cand = np.full((len(level), ttd.n_links + 1), np.inf)
-    for e_idx, event in enumerate(level):
-        support = list(event.support)
-        weights = ttd.probabilities[support] / masses[e_idx]
+    cand = np.full((masses.size, ttd.n_links + 1), np.inf)
+    for e_idx, mass in enumerate(masses):
+        support = np.flatnonzero(tree.member[T] == e_idx)
+        weights = ttd.probabilities[support] / mass
         cost = weights @ ttd.values[support, :, T]  # per-link expected cost
 
         dist = [sentinel] * len(nodes)

@@ -3,7 +3,9 @@
 Everything here is written independently of the package internals: brute
 force enumeration, plain label setting, frozensets instead of event trees.
 Keep it slow and obvious.  The exceptions are former scalar versions of
-the program's array code, kept as its references: ``pick_nearest``, the
+the program's array code, kept as its references: ``generate_events_loop``,
+the bucket-per-level builder whose partitions ``events.generate_events``
+numbers from separation levels; ``pick_nearest``, the
 one-level event matcher that ``events.nearest_events`` batches;
 ``disaggregate``, the commodity split of one turn flow that the engine
 makes for all turns at once; ``translate_walk``, the policy-to-path walk
@@ -63,6 +65,27 @@ def random_small_ttd(rng: np.random.Generator) -> TravelTimeDistribution:
     return TravelTimeDistribution(
         values, 1.0, np.array(probs), refs, 1, n_nodes, grid_rounded=True
     )
+
+
+def generate_events_loop(ttd: TravelTimeDistribution) -> list[list[tuple[int, ...]]]:
+    """Each step's event supports, index 0 repeating step 1: the program's
+    former builder.  Step 1 is the full support; each later step splits
+    every event of the step before into buckets of realizations with equal
+    step counts one step earlier, ordered by their lowest realization."""
+    steps = ttd.steps
+    R, _, width = steps.shape
+    groups = [tuple(range(R))]
+    levels = [groups, groups]
+    for t in range(2, width):
+        refined = []
+        for group in groups:
+            buckets = {}
+            for r in group:
+                buckets.setdefault(steps[r, :, t - 1].tobytes(), []).append(r)
+            refined.extend(tuple(b) for b in sorted(buckets.values()))
+        groups = refined
+        levels.append(groups)
+    return levels
 
 
 def _event_key(values: np.ndarray, s: int, r: int) -> frozenset:
@@ -203,8 +226,8 @@ def horizon_shortest_loop(ttd: TravelTimeDistribution, tree, dest):
     for li, link in enumerate(ttd.links):
         incoming[node_index[link.to_node]].append((node_index[link.from_node], li))
     masses = tree.masses[tree.start[T]:]
-    for e_idx, event in enumerate(level):
-        support = list(event.support)
+    for e_idx, support in enumerate(level):
+        support = list(support)
         weights = ttd.probabilities[support] / masses[e_idx]
         cost = weights @ ttd.values[support, :, T]
         dist = [sentinel] * len(nodes)
@@ -263,7 +286,7 @@ def dot_spi_loop(ttd: TravelTimeDistribution, tree, dest, z=None) -> Policy:
         level = tree.events_at(t)
         e_now = [[sentinel] * len(level) for _ in nodes]
         c_now = [[-1] * len(level) for _ in nodes]
-        for e_idx, event in enumerate(level):
+        for e_idx, support in enumerate(level):
             mass = masses[start[t] + e_idx]
             for j in range(len(nodes)):
                 if j == d_idx:
@@ -273,7 +296,7 @@ def dot_spi_loop(ttd: TravelTimeDistribution, tree, dest, z=None) -> Policy:
                 best_li = -1
                 for li, head in out[j]:
                     acc = 0.0
-                    for r in event.support:
+                    for r in support:
                         c = vals[r][li][t]
                         ta = min(t + steps[r][li][t], T)
                         acc += probs[r] * (c + e_list[ta][head][member[ta][r]])
@@ -291,15 +314,15 @@ def dot_spi_loop(ttd: TravelTimeDistribution, tree, dest, z=None) -> Policy:
 
 
 def pick_nearest(level, distances: np.ndarray):
-    """Event of ``level`` minimizing the support-summed distance; ties break
-    on the lowest contained realization index."""
+    """Support of ``level`` minimizing the support-summed distance; ties
+    break on the lowest contained realization index."""
     best = None
     best_key = None
-    for event in level:
-        score = float(distances[list(event.support)].sum())
-        key = (score, event.support[0])
+    for support in level:
+        score = float(distances[list(support)].sum())
+        key = (score, support[0])
         if best_key is None or key < best_key:
-            best, best_key = event, key
+            best, best_key = support, key
     return best
 
 
@@ -312,11 +335,12 @@ def disaggregate(total: float, weights: list[float], xi: float = XI) -> list[flo
 def expected_origin_time_loop(policy, tree, t: int) -> float:
     """Expected origin time at step t as a running sum over the step's
     events, one ``mass * expected time`` at a time (the program's former
-    per-event loop)."""
+    per-event loop), each mass summed over the event's probabilities."""
     origin = policy.defining_ttd.origin
     total = 0.0
-    for event in tree.events_at(t):
-        total += tree.mass(event) * policy.expected_time(origin, t, event)
+    for support in tree.events_at(t):
+        mass = float(tree.probabilities[list(support)].sum())
+        total += mass * policy.expected_time(origin, t, support[0])
     return total
 
 
@@ -326,11 +350,11 @@ def inflated_values(ttd: TravelTimeDistribution, optimal, z: float, steps) -> np
     state's event: the program's former (step, event, node) loop."""
     values = ttd.values.copy()
     for t in steps:
-        for event in optimal.tree.events_at(t):
+        for support in optimal.tree.events_at(t):
             for node in optimal.nodes:
-                via = optimal.next_link(node, t, event)
+                via = optimal.next_link(node, t, support[0])
                 if node != ttd.destination and via is not None:
-                    values[list(event.support), ttd.link_index[via], t] *= z
+                    values[list(support), ttd.link_index[via], t] *= z
     return values
 
 
@@ -365,16 +389,16 @@ def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
                 s = min(int(clock / dt + 0.5), T)
                 s = max(s, 1)
                 level = tree.events_at(s)
-                event = level[0] if len(level) == 1 else pick_nearest(
+                support = level[0] if len(level) == 1 else pick_nearest(
                     level, dist_by_policy[w][:, s]
                 )
-                via = policy.next_link(node, s, event)
+                via = policy.next_link(node, s, support[0])
                 if via is None:
                     raise NonTerminatingTranslation(
                         f"policy {policy.label} has no route from node {node}"
                     )
                 li = ttd0.link_index[via]
-                support = list(event.support)
+                support = list(support)
                 weights = probs[support]
                 expected = float(weights @ vals[support, li, s] / weights.sum())
                 expected = max(dt, int(expected / dt + 0.5) * dt)

@@ -62,12 +62,11 @@ def equilibria():
 def test_c01_worked_example_decisions(parallel3, parallel3_tree):
     t0 = time.perf_counter()
     policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
-    tree = parallel3_tree
-    assert policy.next_link(2, 3, tree.event_of(3, 1)) == "c"
-    assert policy.next_node(2, 3, tree.event_of(3, 1)) == 3
-    assert policy.next_link(2, 2, tree.event_of(2, 0)) == "b"
-    assert policy.next_node(2, 2, tree.event_of(2, 0)) == 3
-    assert policy.expected_time(1, 1, tree.events_at(1)[0]) == pytest.approx(5.5)
+    assert policy.next_link(2, 3, 1) == "c"
+    assert policy.next_node(2, 3, 1) == 3
+    assert policy.next_link(2, 2, 0) == "b"
+    assert policy.next_node(2, 2, 0) == 3
+    assert policy.expected_time(1, 1, 0) == pytest.approx(5.5)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -78,7 +77,7 @@ def test_c02_enumeration_oracle_100_instances():
         ttd = random_small_ttd(rng)
         tree = generate_events(ttd)
         policy = dot_spi(ttd, tree, ttd.destination)
-        ours = policy.expected_time(ttd.origin, 1, tree.events_at(1)[0])
+        ours = policy.expected_time(ttd.origin, 1, 0)
         assert ours == pytest.approx(enumerate_min_expected(ttd), abs=1e-9)
     assert time.perf_counter() - t0 < 30.0
 

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdta import (
-    Event,
     EventTree,
     LinkRef,
     TravelTimeDistribution,
     ValidationError,
-    event_probability,
     free_flow_distribution,
     generate_events,
     parse_ttd,
@@ -18,35 +16,34 @@ from sdta import (
 )
 from sdta.events import nearest_events
 from conftest import read_fixture
-from oracles import pick_nearest
+from oracles import generate_events_loop, pick_nearest
 
 
 def test_levels_refine_to_singletons(parallel3, parallel3_tree):
     tree = parallel3_tree
     assert [len(tree.events_at(t)) for t in range(0, 5)] == [1, 1, 2, 2, 2]
     full = tree.events_at(1)[0]
-    assert set(full.support) == {0, 1}
+    assert set(full) == {0, 1}
     for t in (2, 3, 4):
-        assert {e.support for e in tree.events_at(t)} == {(0,), (1,)}
+        assert set(tree.events_at(t)) == {(0,), (1,)}
 
 
 def test_event_of_is_consistent(parallel3_tree):
     tree = parallel3_tree
     for t in range(1, 5):
         for r in range(2):
-            ev = tree.event_of(t, r)
-            assert r in ev.support
-            assert ev in tree.events_at(t)
+            support = tree.events_at(t)[tree.member[t, r]]
+            assert r in support
+            assert support in tree.events_at(t)
 
 
 def test_event_probabilities(parallel3_tree):
     tree = parallel3_tree
-    full = tree.events_at(1)[0]
-    assert tree.mass(full) == pytest.approx(1.0)
-    child = tree.event_of(3, 1)
-    assert event_probability(tree, child) == pytest.approx(0.5)
-    assert event_probability(tree, child, parent=full) == pytest.approx(0.5)
-    assert event_probability(tree, full, parent=full) == pytest.approx(1.0)
+    full = tree.masses[tree.start[1] + tree.member[1, 0]]
+    assert full == pytest.approx(1.0)
+    child = tree.masses[tree.start[3] + tree.member[3, 1]]
+    assert child == pytest.approx(0.5)
+    assert child / full == pytest.approx(0.5)  # conditional on the full event
 
 
 def test_rounding_required_before_event_generation():
@@ -105,17 +102,16 @@ def test_nearest_event_tie_prefers_lowest_realization():
     ttd = _two_row_ttd([2, 2, 2], [4, 4, 4])
     tree = generate_events(ttd)
     info = np.array([[3.0, 3.0, 3.0]])
-    ev = nearest_event(ttd, tree, info, 2)
-    assert ev.support == (0,)
+    assert nearest_event(ttd, tree, info, 2) == (0,)
 
 
 def test_nearest_event_follows_observed_history():
     ttd = _two_row_ttd([2, 2, 2], [4, 4, 4])
     tree = generate_events(ttd)
     near_r1 = np.array([[3.9, 3.9, 3.9]])
-    assert nearest_event(ttd, tree, near_r1, 2).support == (1,)
+    assert nearest_event(ttd, tree, near_r1, 2) == (1,)
     near_r0 = np.array([[2.1, 2.1, 2.1]])
-    assert nearest_event(ttd, tree, near_r0, 2).support == (0,)
+    assert nearest_event(ttd, tree, near_r0, 2) == (0,)
 
 
 def test_prefix_distances_accumulate():
@@ -150,8 +146,8 @@ def test_pick_nearest_first_minimum():
     ttd = _two_row_ttd([2, 2, 2], [4, 4, 4])
     tree = generate_events(ttd)
     level = tree.events_at(2)
-    assert pick_nearest(level, np.array([5.0, 5.0])).support == (0,)
-    assert pick_nearest(level, np.array([7.0, 1.0])).support == (1,)
+    assert pick_nearest(level, np.array([5.0, 5.0])) == (0,)
+    assert pick_nearest(level, np.array([7.0, 1.0])) == (1,)
 
 
 @st.composite
@@ -167,7 +163,7 @@ def scored_levels(draw):
     for _ in range(draw(st.integers(1, 5))):
         labels = draw(st.lists(st.integers(0, R - 1), min_size=R, max_size=R))
         groups = [tuple(r for r in range(R) if labels[r] == g) for g in sorted(set(labels))]
-        level = [Event(groups[i], 1) for i in draw(st.permutations(range(len(groups))))]
+        level = [groups[i] for i in draw(st.permutations(range(len(groups))))]
         unit = draw(st.sampled_from([None, 1.0, 0.1, 1.0 / 3.0]))
         distance = (st.floats(0.0, 1e4, allow_subnormal=False) if unit is None
                     else st.integers(0, 3).map(lambda k: k * unit))
@@ -180,8 +176,8 @@ def scored_levels(draw):
 def test_nearest_events_agree_with_pick_nearest(rows):
     member = np.empty((len(rows), rows[0][1].size), dtype=np.int64)
     for i, (level, _) in enumerate(rows):
-        for e, event in enumerate(level):
-            member[i, list(event.support)] = e
+        for e, support in enumerate(level):
+            member[i, list(support)] = e
     distances = np.stack([d for _, d in rows])
     got = nearest_events(member, distances)
     for i, (level, d) in enumerate(rows):
@@ -199,7 +195,7 @@ def test_nearest_events_agree_with_pick_nearest(rows):
 def test_nearest_events_sum_as_numpy(members, distances):
     """Event 0 ties event 1 only when event 1 sums exactly as numpy sums it,
     and then wins on its lower first member."""
-    level = [Event((0,), 1), Event(tuple(range(1, len(members))), 1)]
+    level = [(0,), tuple(range(1, len(members)))]
     distances = np.array(distances)
     assert pick_nearest(level, distances) is level[0]
     assert nearest_events(np.array(members), distances) == 0
@@ -211,10 +207,36 @@ def test_level_zero_mirrors_level_one(parallel3_tree):
 
 def test_event_tree_rejects_level_zero_unlike_level_one():
     # realization 1's step-0 column would name a step-2 event
-    levels = [[Event((0,), 0), Event((1,), 0)], [Event((0, 1), 1)],
-              [Event((0,), 2), Event((1,), 2)]]
     with pytest.raises(ValidationError, match="level 0"):
-        EventTree(levels, [0.5, 0.5])
+        EventTree([[0, 1], [0, 0], [0, 1]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("member", [[[0, 0], [0, 0], [0, 2]],
+                                    [[0, 0], [0, 0], [1, 1]],
+                                    [[0, 0], [0, 0], [-1, 0]]])
+def test_event_tree_rejects_a_skipped_event_number(member):
+    # each would leave an event with no realization in it
+    with pytest.raises(ValidationError, match="without gaps"):
+        EventTree(member, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("member", [[[0, 0, 0], [0, 0, 0]], [[0], [0]], [0, 0]])
+def test_event_tree_needs_one_member_column_per_realization(member):
+    with pytest.raises(ValidationError, match="one column per realization"):
+        EventTree(member, [0.5, 0.5])
+
+
+def test_events_are_ordered_by_parent_then_lowest_realization():
+    # r0 and r2 agree at step 1 and r1 does not; r0 and r2 differ at step 2.
+    # Step 3 lists (0, 2)'s children before (1,), though 1 < 2.
+    values = np.array([[[1, 1, 1, 1]], [[2, 2, 1, 1]], [[1, 1, 2, 1]]], dtype=float)
+    ttd = TravelTimeDistribution(values, 1.0, np.array([0.25, 0.25, 0.5]),
+                                 [LinkRef("a", 1, 2)], 1, 2, grid_rounded=True)
+    tree = generate_events(ttd)
+    assert tree.events_at(2) == ((0, 2), (1,))
+    assert tree.events_at(3) == ((0,), (2,), (1,))
+    assert tree.member[3].tolist() == [0, 2, 1]
+    assert [tree.events_at(t) for t in range(4)] == [tuple(l) for l in generate_events_loop(ttd)]
 
 
 def test_ttd_links_may_have_integer_ids():

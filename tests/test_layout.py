@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expected_origin_time_loop, inflated_values
+from oracles import expected_origin_time_loop, generate_events_loop, inflated_values
 from sdta import (
     ChoiceParams,
     LinkRef,
@@ -80,11 +80,52 @@ def test_columns_land_on_the_realizations_events(ttd):
         for r in range(tree.n_realizations):
             column = tree.start[t] + tree.member[t, r]
             assert tree.level_of[column] == step
-            event = level[column - tree.start[step]]
-            assert r in event.support
-            assert tree.masses[column] == tree.mass(event)
+            support = level[column - tree.start[step]]
+            assert r in support
+            assert tree.masses[column] == tree.probabilities[list(support)].sum()
     per_level = np.bincount(tree.level_of, tree.masses)[1:]
     np.testing.assert_allclose(per_level, 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def shared_prefix_ttds(draw):
+    """A generated distribution in which each realization copies an earlier
+    one's step counts up to a drawn step (past the horizon: all of them),
+    so events of several members split at different steps."""
+    ttd = draw(generated_ttds())
+    values = ttd.values.copy()
+    T = ttd.horizon_steps
+    for r in range(1, ttd.n_realizations):
+        shared = draw(st.integers(0, T + 1))
+        values[r, :, :shared] = values[draw(st.integers(0, r - 1)), :, :shared]
+    return ttd.replace_values(values, grid_rounded=True)
+
+
+def loop_layout(ttd):
+    """``member``, ``start``, ``level_of`` and ``masses`` from the loop
+    builder's supports, laid out as the former per-event ``EventTree`` did:
+    each mass is numpy's sum over its support."""
+    levels = generate_events_loop(ttd)
+    member = np.full((len(levels), ttd.n_realizations), -1, dtype=np.int64)
+    for t, level in enumerate(levels):
+        for e, support in enumerate(level):
+            member[t, list(support)] = e
+    sizes = np.array([len(level) for level in levels[1:]], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    masses = [float(ttd.probabilities[list(s)].sum()) for level in levels[1:] for s in level]
+    return (member, np.concatenate([start[:1], start]),
+            np.repeat(np.arange(1, len(levels)), sizes), np.array(masses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(generated_ttds(), shared_prefix_ttds()))
+def test_event_tree_matches_the_loop_bit_for_bit(ttd):
+    tree = generate_events(ttd)
+    got = (tree.member, tree.start, tree.level_of, tree.masses)
+    for name, a, b in zip(("member", "start", "level_of", "masses"), got, loop_layout(ttd)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    levels = generate_events_loop(ttd)
+    assert [tree.events_at(t) for t in range(len(levels))] == [tuple(l) for l in levels]
 
 
 @settings(max_examples=100, deadline=None)

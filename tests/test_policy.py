@@ -33,37 +33,32 @@ class TestThreeLinkExample:
 
     def test_minimum_expected_origin_time(self, parallel3, parallel3_tree):
         policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
-        full = parallel3_tree.events_at(1)[0]
-        assert policy.expected_time(1, 1, full) == pytest.approx(5.5)
+        assert policy.expected_time(1, 1, 0) == pytest.approx(5.5)
         assert expected_origin_time(policy, parallel3_tree, 1) == pytest.approx(5.5)
 
     def test_conditional_decisions_differ_by_event(self, parallel3, parallel3_tree):
         policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
-        tree = parallel3_tree
-        assert policy.next_link(2, 3, tree.event_of(3, 1)) == "c"
-        assert policy.next_link(2, 2, tree.event_of(2, 0)) == "b"
+        assert policy.next_link(2, 3, 1) == "c"
+        assert policy.next_link(2, 2, 0) == "b"
 
     def test_horizon_tail_uses_final_step_costs(self, parallel3, parallel3_tree):
         policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
-        ev = parallel3_tree.event_of(4, 0)
-        assert policy.expected_time(2, 4, ev) == pytest.approx(2.0)
-        assert policy.next_link(2, 4, ev) == "c"
+        assert policy.expected_time(2, 4, 0) == pytest.approx(2.0)
+        assert policy.next_link(2, 4, 0) == "c"
 
     def test_inflating_the_chosen_link_flips_the_tail_decision(
         self, parallel3, parallel3_tree
     ):
         optimal = dot_spi(parallel3, parallel3_tree, parallel3.destination)
         (worse,) = lp_policy(parallel3, optimal, 10.0)
-        ev = parallel3_tree.event_of(4, 0)
-        assert worse.next_link(2, 4, ev) == "b"
-        assert worse.expected_time(2, 4, ev) == pytest.approx(9.0)
+        assert worse.next_link(2, 4, 0) == "b"
+        assert worse.expected_time(2, 4, 0) == pytest.approx(9.0)
 
     def test_destination_time_is_zero(self, parallel3, parallel3_tree):
         policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
         for t in (1, 2, 4):
             for r in (0, 1):
-                ev = parallel3_tree.event_of(t, r)
-                assert policy.expected_time(3, t, ev) == 0.0
+                assert policy.expected_time(3, t, r) == 0.0
 
 
 def test_matches_exhaustive_enumeration():
@@ -72,7 +67,7 @@ def test_matches_exhaustive_enumeration():
         ttd = random_small_ttd(rng)
         tree = generate_events(ttd)
         policy = dot_spi(ttd, tree, ttd.destination)
-        ours = policy.expected_time(ttd.origin, 1, tree.events_at(1)[0])
+        ours = policy.expected_time(ttd.origin, 1, 0)
         assert ours == pytest.approx(enumerate_min_expected(ttd), abs=1e-9)
 
 
@@ -89,7 +84,7 @@ def test_matches_deterministic_shortest_path():
             )
         tree = generate_events(ttd)
         policy = dot_spi(ttd, tree, ttd.destination)
-        ours = policy.expected_time(ttd.origin, 1, tree.events_at(1)[0])
+        ours = policy.expected_time(ttd.origin, 1, 0)
         assert ours == pytest.approx(tdsp_value(ttd, 0), abs=1e-9)
         checked += 1
 
@@ -106,23 +101,22 @@ def test_one_step_lookahead_consistency():
         for i, ref in enumerate(ttd.links):
             out.setdefault(ref.from_node, []).append((i, ref.to_node))
         for t in range(1, T):
-            for event in tree.events_at(t):
-                mass = tree.mass(event)
+            for support in tree.events_at(t):
+                mass = ttd.probabilities[list(support)].sum()
                 for node in out:
                     if node == ttd.destination:
                         continue
                     best = math.inf
                     for i, nxt in out[node]:
                         acc = 0.0
-                        for r in event.support:
+                        for r in support:
                             c = ttd.values[r, i, t]
                             s = min(t + int(round(c / ttd.dt)), T)
-                            child = tree.event_of(s, r)
                             acc += ttd.probabilities[r] * (
-                                c + policy.expected_time(nxt, s, child)
+                                c + policy.expected_time(nxt, s, r)
                             )
                         best = min(best, acc / mass)
-                    stored = policy.expected_time(node, t, event)
+                    stored = policy.expected_time(node, t, support[0])
                     if math.isinf(stored) and math.isinf(best):
                         continue
                     assert stored == pytest.approx(best, abs=1e-9)
@@ -138,8 +132,8 @@ def test_time_grid_coarsening_scales_values():
     v1 = dot_spi(ttd, generate_events(ttd), ttd.destination)
     tree3 = generate_events(scaled)
     v3 = dot_spi(scaled, tree3, scaled.destination)
-    a = v1.expected_time(ttd.origin, 1, generate_events(ttd).events_at(1)[0])
-    b = v3.expected_time(scaled.origin, 1, tree3.events_at(1)[0])
+    a = v1.expected_time(ttd.origin, 1, 0)
+    b = v3.expected_time(scaled.origin, 1, 0)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
@@ -150,25 +144,24 @@ def test_unreachable_node_is_flagged():
     )
     tree = generate_events(ttd)
     policy = dot_spi(ttd, tree, 3)
-    ev = tree.events_at(1)[0]
-    assert policy.is_unreachable(1, 1, ev)
-    assert policy.next_link(1, 1, ev) is None
+    assert policy.is_unreachable(1, 1, 0)
+    assert policy.next_link(1, 1, 0) is None
     # the sentinel exceeds any feasible travel time in the instance
-    assert policy.expected_time(1, 1, ev) >= policy.sentinel
+    assert policy.expected_time(1, 1, 0) >= policy.sentinel
     assert policy.sentinel > ttd.values.max() * ttd.horizon_steps
 
 
-def test_lookup_rejects_an_event_of_another_step(parallel3, parallel3_tree):
-    # the full-support event of step 1 is not one of step 4's events, whose
-    # first member would otherwise answer for it
+def test_lookup_rejects_a_realization_out_of_range(parallel3, parallel3_tree):
+    # numpy would wrap -1 round to the last realization
     policy = dot_spi(parallel3, parallel3_tree, parallel3.destination)
-    with pytest.raises(ValidationError, match="not one of step 4's events"):
-        policy.expected_time(1, 4, parallel3_tree.events_at(1)[0])
-    with pytest.raises(ValidationError, match="not one of step 2's events"):
-        policy.next_link(2, 2, parallel3_tree.event_of(3, 1))
-    # a step past the horizon is clamped to it before the check
-    ev = parallel3_tree.event_of(4, 0)
-    assert policy.expected_time(2, 9, ev) == policy.expected_time(2, 4, ev)
+    for realization in (-1, 2, 7):
+        with pytest.raises(ValidationError, match=f"realization {realization} is not one of 0..1"):
+            policy.expected_time(1, 4, realization)
+        for lookup in (policy.next_link, policy.next_node, policy.is_unreachable):
+            with pytest.raises(ValidationError, match="not one of 0..1"):
+                lookup(2, 2, realization)
+    # a step past the horizon is clamped to it
+    assert policy.expected_time(2, 9, 0) == policy.expected_time(2, 4, 0)
 
 
 def test_generated_policy_labels(parallel3):
