@@ -52,6 +52,8 @@ class SplitSchedule:
         return self.eta.shape[1] - 1
 
     def row(self, label: str) -> np.ndarray:
+        if label not in self.labels:
+            raise ValidationError(f"no split row for policy {label}")
         return self.eta[self.labels.index(label)]
 
 

@@ -290,7 +290,7 @@ def _pairwise_sums(groups: np.ndarray, values: np.ndarray, sums: np.ndarray) -> 
     """Redo the sums of groups with ``PAIRWISE_MIN`` or more members in place,
     as numpy sums them: a contiguous row per group, reduced along the row."""
     sizes = np.bincount(groups, minlength=sums.size)
-    for size in np.unique(sizes[sizes >= PAIRWISE_MIN]):
+    for size in np.flatnonzero(np.bincount(sizes)[PAIRWISE_MIN:]) + PAIRWISE_MIN:
         big = np.flatnonzero(sizes == size)
         at = np.flatnonzero(np.isin(groups, big))
         at = at[np.argsort(groups[at], kind="stable")]

@@ -450,9 +450,13 @@ def _load_paths(
     as the largest: the extra ones, at the end, carry no demand and take no
     route.  Zeros appended to a commodity-order sum leave it unchanged.
     """
+    T = demands[0].size - 1
     for pathset in pathsets:
         pathset.validate_against(network)
-    T = demands[0].size - 1
+        if pathset.mu.shape[1] != T + 1:
+            raise ValidationError(
+                f"path usage covers {pathset.mu.shape[1] - 1} steps, the demand {T}"
+            )
     K = max(len(pathset.paths) for pathset in pathsets)
     turns = _Turns(network)
     engine = _Engine(turns, capacities, dt, T, K, strict_origin)
@@ -484,62 +488,61 @@ def _translate_info(
     """Realize each policy as one path per departure step against the
     observed history ``info``, (L, T+1).
 
-    The walk starts at the origin at the departure time; at every node the
-    event nearest to the realized history (absolute-difference metric
-    against the policy's defining distribution) selects the decision, and
-    the clock advances by the in-event expected traversal time rounded to
-    the grid.  Policies collapsing onto one path pool their fractions.
+    Every (policy, departure) walker starts at the origin at its departure
+    time, and all move together, one hop a pass: at every node the event
+    nearest to the realized history (absolute-difference metric against the
+    policy's defining distribution) selects the decision, and the clock
+    advances by the in-event expected traversal time rounded to the grid.
+    Walkers with the same link sequence pool their fractions.
     """
-    T = policies[0].defining_ttd.horizon_steps
-    departures = np.arange(1, T + 1)
-    accumulators: dict[tuple[str, ...], np.ndarray] = {}
-    for policy in policies:
-        ttd = policy.defining_ttd
-        node_index = policy.node_index
-        dest = node_index[ttd.destination]
-        head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
-        # per step s: the event nearest to the history before s, the
-        # decision at every node and the clock advance over every link
-        event, decision = _decisions(policy, info)
-        advance = _expected_advance(ttd, policy.tree.member == event[:, None], dt)
+    first, P = policies[0], len(policies)
+    ttd, node_index = first.defining_ttd, first.node_index
+    T, ids = ttd.horizon_steps, [link.id for link in ttd.links]
+    head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
+    # per policy and step s: the decision at every node under the event
+    # nearest to the history before s, and the clock advance over every link
+    decision = np.empty((P, T + 1, len(node_index)), dtype=np.int64)
+    advance = np.empty((P, T + 1, len(ids)))
+    for k, p in enumerate(policies):
+        event, decision[k] = _decisions(p, info)
+        advance[k] = _expected_advance(p.defining_ttd, p.tree.member == event[:, None], dt)
 
-        # every departure walks from the origin at once, one hop a pass
-        clock = departures * dt
-        node = np.full(T, node_index[ttd.origin], dtype=np.int64)
-        hops: list[np.ndarray] = []                        # link per departure, -1 once arrived
-        walking = node != dest
-        while walking.any():
-            s = np.clip((clock / dt + 0.5).astype(np.int64), 1, T)
-            li = np.where(walking, decision[s, node], -1)
-            stuck = walking & (li < 0)
-            if stuck.any():
-                raise NonTerminatingTranslation(
-                    f"policy {policy.label} has no route from node "
-                    f"{policy.nodes[node[stuck.argmax()]]}"
-                )
-            hops.append(li)
-            if len(hops) > 2 * T:
-                raise NonTerminatingTranslation(
-                    f"walk from step {departures[walking.argmax()]} exceeded {2 * T} hops"
-                )
-            clock = clock + advance[s, li]
-            node = np.where(walking, head[li], node)
-            walking = node != dest
+    # walker w is policy w // T departing at step w % T + 1
+    walker_policy = np.repeat(np.arange(P), T)
+    departure = np.tile(np.arange(1, T + 1), P)
+    clock = departure * dt
+    node = np.full(P * T, node_index[ttd.origin], dtype=np.int64)
+    hops: list[np.ndarray] = []                        # link per walker, -1 once arrived
+    while (walking := node != node_index[ttd.destination]).any():
+        s = np.clip((clock / dt + 0.5).astype(np.int64), 1, T)
+        li = np.where(walking, decision[walker_policy, s, node], -1)
+        stuck = walking & (li < 0)
+        if stuck.any():
+            w = stuck.argmax()
+            raise NonTerminatingTranslation(
+                f"policy {policies[w // T].label} has no route from node {first.nodes[node[w]]}"
+            )
+        hops.append(li)
+        if len(hops) > 2 * T:
+            raise NonTerminatingTranslation(
+                f"walk from step {departure[walking.argmax()]} exceeded {2 * T} hops"
+            )
+        clock = clock + advance[walker_policy, s, li]
+        node = np.where(walking, head[li], node)
 
-        # pool departures by link sequence, numbered hop by hop
-        sequence = np.zeros(T, dtype=np.int64)
-        for li in hops:
-            sequence = np.unique(sequence * (len(ttd.links) + 1) + li + 1, return_inverse=True)[1]
-        walks, eta = np.array(hops).T, splits.row(policy.label)[1:]
-        for u in range(sequence.max() + 1):
-            mine = sequence == u
-            key = tuple(ttd.links[li].id for li in walks[mine.argmax()] if li >= 0)
-            row = accumulators.setdefault(key, np.zeros(T + 1))
-            row[1:][mine] += eta[mine]
-    paths = tuple(sorted(accumulators))
-    mu = np.vstack([accumulators[p] for p in paths])
-    mu[:, 0] = mu[:, 1]
-    return PathSet(paths, mu)
+    # number the walks hop by hop, each link by its rank in link-id order
+    # and -1 first, so the numbers follow the sorted link sequences
+    rank = np.zeros(len(ids) + 1, dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(1, len(ids) + 1)
+    path = np.zeros(P * T, dtype=np.int64)
+    for li in hops:
+        _, walker, path = np.unique(path * (len(ids) + 1) + rank[li],
+                                    return_index=True, return_inverse=True)
+    paths = tuple(tuple(ids[li] for li in walk if li >= 0) for walk in np.array(hops).T[walker])
+    # each (path, step) sums its walkers' fractions in policy order, from 0.0
+    eta = np.stack([splits.row(p.label)[1:] for p in policies])
+    mu = np.bincount(path * T + departure - 1, eta.reshape(-1), len(paths) * T).reshape(-1, T)
+    return PathSet(paths, np.hstack([mu[:, :1], mu]))
 
 
 def _decisions(policy: Policy, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,7 +592,7 @@ def iterative_loading(
     """
     if k_inner < 1:
         raise ValidationError("need at least one inner iteration")
-    links = _policy_links(network, policies)
+    links = _policy_links(network, policies, splits, scenario)
     free = free_flow_distribution(network, scenario)
     dt, reals = scenario.dt, scenario.realizations
     demands = [real.demand for real in reals]
@@ -610,12 +613,18 @@ def iterative_loading(
     )
 
 
-def _policy_links(network: Network, policies: Sequence[Policy]) -> tuple:
+def _policy_links(
+    network: Network, policies: Sequence[Policy], splits: SplitSchedule, scenario: Scenario
+) -> tuple:
     """The network's links, on which every policy must be defined, in the
-    network's order, since its decisions are link indices."""
+    network's order, since its decisions are link indices.  Policies and
+    splits must cover the scenario's horizon."""
     links = links_of(network)
     if any(p.defining_ttd.links != links for p in policies):
         raise ValidationError("policies must be defined on the network's links, in its order")
+    T = scenario.horizon_steps
+    if splits.horizon_steps != T or any(p.horizon_steps != T for p in policies):
+        raise ValidationError(f"policies and splits must cover the scenario's {T} steps")
     return links
 
 
@@ -640,7 +649,7 @@ def po_ltm(
     indices.  ``diagnostics`` (a list, if given) receives one LoadResult per
     realization, in order, for conservation checks.
     """
-    links = _policy_links(network, policies)
+    links = _policy_links(network, policies, splits, scenario)
     T = scenario.horizon_steps
     K = len(policies)
     turns = _Turns(network)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +250,26 @@ def test_ttd_links_may_have_integer_ids():
                     "realizations: [{prob: 1.0, times: {7: [1, 2]}}]\n")
     assert ttd.links[0].id == "7"
     assert ttd.values[0, 0, 1:].tolist() == [1.0, 2.0]
+
+
+def test_pairwise_sums_leave_numpy_ma_unimported():
+    """A plain ``np.unique`` imports ``numpy.ma`` on its first call, some
+    milliseconds and a megabyte of a fresh process; building and matching
+    ten-realization events, whose sums ``_pairwise_sums`` redoes, must not."""
+    script = """
+import sys
+import numpy as np
+from sdta import LinkRef, TravelTimeDistribution, generate_events
+from sdta.events import nearest_events
+values = np.ones((10, 1, 5))
+values[5:, 0, 2:] = 2.0
+ttd = TravelTimeDistribution(values, 1.0, np.full(10, 0.1), [LinkRef("a", 0, 1)], 0, 1,
+                             grid_rounded=True)
+tree = generate_events(ttd)
+nearest_events(tree.member[1], np.linspace(0.0, 1.0, 10))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

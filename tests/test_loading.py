@@ -15,6 +15,7 @@ from sdta import (
     generate_policies,
     iterative_loading,
     links_of,
+    logit_splits,
     parse_network,
     path_ltm,
     po_ltm,
@@ -259,3 +260,34 @@ def test_policies_must_share_the_network_links_and_order(diamond, defined_on):
         po_ltm(loaded_on, policies, splits, scn)
     with pytest.raises(ValidationError, match="network's links"):
         iterative_loading(loaded_on, policies, splits, scn, k_inner=2)
+
+
+# --- loader inputs that disagree are a ValidationError --------------------
+
+def test_splits_without_a_policy_row_are_rejected(diamond):
+    net, _ = diamond
+    scn = load_scenario("diamond", net, steps=40)
+    policies, _ = policies_and_splits(net, scn)
+    splits = logit_splits(np.zeros((2, scn.horizon_steps + 1)))   # labels policy-0, policy-1
+    with pytest.raises(ValidationError, match=r"no split row for policy optimal"):
+        po_ltm(net, policies, splits, scn)
+    with pytest.raises(ValidationError, match=r"no split row for policy optimal"):
+        iterative_loading(net, policies, splits, scn, k_inner=1)
+
+
+def test_policies_must_cover_the_scenario_horizon(diamond):
+    net, _ = diamond
+    policies, splits = policies_and_splits(net, load_scenario("diamond", net, steps=60))
+    scn = load_scenario("diamond", net, steps=80)
+    with pytest.raises(ValidationError, match="cover the scenario's 80 steps"):
+        po_ltm(net, policies, splits, scn)
+    with pytest.raises(ValidationError, match="cover the scenario's 80 steps"):
+        iterative_loading(net, policies, splits, scn, k_inner=1)
+
+
+def test_path_usage_must_cover_the_demand_horizon(twolinks):
+    net, _ = twolinks
+    scn = load_scenario("twolinks", net, steps=60)
+    real = scn.realizations[0]
+    with pytest.raises(ValidationError, match="path usage covers 40 steps, the demand 60"):
+        path_ltm(net, single_route_pathset(net, 40), real.demand, real.capacity, scn.dt)

@@ -1,9 +1,14 @@
 """Policy-to-path translation: the batched walk against the scalar one.
 
-``sdta.loading._translate_info`` walks every departure step at once on
-per-step tables (matched event, decisions, clock advance);
-``oracles.translate_walk`` is the former one-walk-per-departure version.
-They must produce the same paths and the same usage fractions, bit for bit.
+``sdta.loading._translate_info`` walks every (policy, departure) pair at
+once on per-policy tables (matched event, decisions, clock advance) and
+pools the whole set in one numbering; ``oracles.translate_walk`` is the
+former one-walk-per-policy-and-departure version.  They must produce the
+same paths and the same usage fractions, bit for bit, also for policies
+with event trees of their own.  A walk without a decision names its own
+policy, as in the scalar walk, and where several walks fail the batch names
+the one that fails at the earliest hop; the hop guard holds beside policies
+that arrive.
 """
 
 import dataclasses
@@ -88,6 +93,42 @@ def test_batched_translation_matches_scalar_walk(iterate):
                         translate_walk(policies, splits, info, dt))
 
 
+SF = load_network("sf")
+SF_BASE = load_scenario("sf", SF, steps=STEPS)
+
+
+def sf_iterate(demand, capacity):
+    """A history loaded on sf with scaled demand and capacity, noise 0.2."""
+    scn = perturbed(dataclasses.replace(SF_BASE, realizations=tuple(
+        Realization(r.probability, r.demand * demand,
+                    {k: v * capacity for k, v in r.capacity.items()})
+        for r in SF_BASE.realizations
+    )), 0.2, np.random.default_rng(3))
+    policies, tree = generate_policies(free_flow_distribution(SF, scn), (1.5, 2.0))
+    return iterative_loading(SF, policies, splits_for(policies, tree, ChoiceParams()), scn,
+                             k_inner=1)
+
+
+@pytest.mark.parametrize("scales", [[(1.0, 1.0), (2.0, 0.5)], [(2.0, 0.5), (1.0, 1.0)]],
+                         ids=["lighter-first", "congested-first"])
+def test_policies_with_their_own_event_trees_translate_as_the_scalar_walk(scales):
+    """The optimal policy of one sf iterate beside the suboptimal ones of
+    another, whose realizations separate at other steps, with hand-made
+    splits: each policy matches events on its own tree.  A batch reading the
+    first policy's tree for all reads the others' decisions at other states,
+    or past their last one."""
+    iterates = [sf_iterate(*scale) for scale in scales]
+    (first, _), (second, _) = (generate_policies(it, (1.5, 2.0)) for it in iterates)
+    policies = [first[0], *second[1:]]
+    assert not np.array_equal(policies[0].tree.member, policies[1].tree.member)
+    eta = np.random.default_rng(5).dirichlet(np.ones(3), STEPS + 1).T
+    eta[:, 0] = eta[:, 1]
+    splits = SplitSchedule(eta, tuple(p.label for p in policies))
+    for info in np.concatenate([it.values for it in iterates]):
+        assert_same_pathset(_translate_info(policies, splits, info, SF_BASE.dt),
+                            translate_walk(policies, splits, info, SF_BASE.dt))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_expected_advance_rounds_as_the_scalar_mean(data):
@@ -120,18 +161,23 @@ def test_expected_advance_rounds_as_the_scalar_mean(data):
 
 # --- walks that never reach the destination -------------------------------
 
-def hand_built(links, decisions, T=4):
-    """One deterministic policy on nodes 1..3 (origin 1, destination 3) that
-    takes link ``decisions[node]`` at every step, -1 where none is given."""
+def hand_built(links, *decisions, T=4):
+    """Deterministic policies on nodes 1..3 (origin 1, destination 3), one per
+    mapping in ``decisions``, each taking link ``decisions[node]`` at every
+    step, -1 where none is given.  The first is labelled optimal, the next
+    suboptimal with z = 2, 3, ..."""
     refs = [LinkRef(lid, a, b) for lid, a, b in links]
     ttd = TravelTimeDistribution(np.ones((1, len(refs), T + 1)), 1.0, np.array([1.0]),
                                  refs, 1, 3, grid_rounded=True)
     nodes = (1, 2, 3)
-    choices = np.array([[decisions.get(n, -1)] * T for n in nodes], dtype=np.int64)
-    policy = Policy(None, ttd, generate_events(ttd),
-                    np.zeros((3, T)), choices, nodes, 1e9)
-    splits = SplitSchedule(np.ones((1, T + 1)), (policy.label,))
-    return [policy], splits, ttd
+    policies = []
+    for k, decided in enumerate(decisions):
+        choices = np.array([[decided.get(n, -1)] * T for n in nodes], dtype=np.int64)
+        policies.append(Policy(k + 1.0 if k else None, ttd, generate_events(ttd),
+                               np.zeros((3, T)), choices, nodes, 1e9))
+    splits = SplitSchedule(np.full((len(policies), T + 1), 1.0 / len(policies)),
+                           tuple(p.label for p in policies))
+    return policies, splits, ttd
 
 
 def test_reached_node_without_decision_does_not_terminate():
@@ -144,6 +190,38 @@ def test_reached_node_without_decision_does_not_terminate():
 
 def test_cycling_decisions_hit_the_hop_guard():
     policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 1), ("c", 2, 3)], {1: 0, 2: 1})
+    with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
+        _translate_info(policies, splits, ttd.values[0], ttd.dt)
+    with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
+        translate_walk(policies, splits, ttd.values[0], ttd.dt)
+
+
+def test_a_stuck_walk_names_its_own_policy():
+    # the optimal policy arrives; only the second has no decision at node 2
+    policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 3)], {1: 0, 2: 1}, {1: 0})
+    stuck = r"policy suboptimal\[z=2\] has no route from node 2"
+    with pytest.raises(NonTerminatingTranslation, match=stuck):
+        _translate_info(policies, splits, ttd.values[0], ttd.dt)
+    with pytest.raises(NonTerminatingTranslation, match=stuck):
+        translate_walk(policies, splits, ttd.values[0], ttd.dt)
+
+
+def test_the_walker_stuck_at_the_earliest_hop_is_named():
+    # the optimal policy is stuck at node 2 on the second hop, the other at
+    # the origin on the first; the scalar walk, a policy at a time, names
+    # the optimal one
+    policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 3)], {1: 0}, {})
+    with pytest.raises(NonTerminatingTranslation,
+                       match=r"policy suboptimal\[z=2\] has no route from node 1"):
+        _translate_info(policies, splits, ttd.values[0], ttd.dt)
+
+
+@pytest.mark.parametrize("cycling", [0, 1])
+def test_the_hop_guard_holds_beside_an_arriving_policy(cycling):
+    arrives, cycles = {1: 0, 2: 2}, {1: 0, 2: 1}
+    decisions = [arrives, arrives]
+    decisions[cycling] = cycles
+    policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 1), ("c", 2, 3)], *decisions)
     with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
         _translate_info(policies, splits, ttd.values[0], ttd.dt)
     with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
