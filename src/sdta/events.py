@@ -247,12 +247,13 @@ def step_distances(defining: np.ndarray, observed: np.ndarray) -> np.ndarray:
 def prefix_distances(defining_values: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Cumulative per-realization distance between a distribution and observed times.
 
-    Returns D with shape (R, T+1) where D[r, t] sums ``step_distances`` over
+    ``defining_values`` is (..., R, L, T+1) and ``info`` (L, T+1).  Returns D
+    with shape (..., R, T+1) where D[..., r, t] sums ``step_distances`` over
     the steps strictly before t, in step order.
     """
-    diff = step_distances(defining_values[:, :, 1:-1].swapaxes(1, 2), info[:, 1:-1].T)
-    out = np.zeros((defining_values.shape[0], defining_values.shape[2]))
-    np.cumsum(diff, axis=1, out=out[:, 2:])
+    diff = step_distances(defining_values[..., 1:-1].swapaxes(-1, -2), info[:, 1:-1].T)
+    out = np.zeros(defining_values.shape[:-2] + defining_values.shape[-1:])
+    np.cumsum(diff, axis=-1, out=out[..., 2:])
     return out
 
 

@@ -127,8 +127,7 @@ class _Turns:
                 (a, b), (o,) = ins[node], outs[node]
                 merge_a.append((a, o))
                 merge_b.append((b, o))
-                p = network.links[a].merge_priority
-                priority.append(0.5 if p is None else p)
+                priority.append(network.links[a].merge_priority)
             elif kind is NodeKind.DIVERGE:
                 (i,), (a, b) = ins[node], outs[node]
                 diverge_a.append((i, a))
@@ -499,13 +498,12 @@ def _translate_info(
     ttd, node_index = first.defining_ttd, first.node_index
     T, ids = ttd.horizon_steps, [link.id for link in ttd.links]
     head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
-    # per policy and step s: the decision at every node under the event
-    # nearest to the history before s, and the clock advance over every link
-    decision = np.empty((P, T + 1, len(node_index)), dtype=np.int64)
-    advance = np.empty((P, T + 1, len(ids)))
-    for k, p in enumerate(policies):
-        event, decision[k] = _decisions(p, info)
-        advance[k] = _expected_advance(p.defining_ttd, p.tree.member == event[:, None], dt)
+    # per policy and step s: the event nearest to the history before s on its
+    # own tree, the decision at every node under it and the advance per link
+    shares, defining, probs, member, decisions, start = _stacked(policies, splits)
+    event = nearest_events(member, prefix_distances(defining, info).swapaxes(1, 2))
+    decision = decisions[start + event]
+    advance = _expected_advance(probs, defining, member == event[..., None], dt)
 
     # walker w is policy w // T departing at step w % T + 1
     walker_policy = np.repeat(np.arange(P), T)
@@ -524,9 +522,9 @@ def _translate_info(
             )
         hops.append(li)
         if len(hops) > 2 * T:
-            raise NonTerminatingTranslation(
-                f"walk from step {departure[walking.argmax()]} exceeded {2 * T} hops"
-            )
+            w = walking.argmax()
+            raise NonTerminatingTranslation(f"policy {policies[w // T].label}: walk from step "
+                                            f"{departure[w]} exceeded {2 * T} hops")
         clock = clock + advance[walker_policy, s, li]
         node = np.where(walking, head[li], node)
 
@@ -540,35 +538,41 @@ def _translate_info(
                                     return_index=True, return_inverse=True)
     paths = tuple(tuple(ids[li] for li in walk if li >= 0) for walk in np.array(hops).T[walker])
     # each (path, step) sums its walkers' fractions in policy order, from 0.0
-    eta = np.stack([splits.row(p.label)[1:] for p in policies])
-    mu = np.bincount(path * T + departure - 1, eta.reshape(-1), len(paths) * T).reshape(-1, T)
+    mu = np.bincount(path * T + departure - 1, shares[:, 1:].ravel(), len(paths) * T)
+    mu = mu.reshape(-1, T)
     return PathSet(paths, np.hstack([mu[:, :1], mu]))
 
 
-def _decisions(policy: Policy, info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The event nearest to the history before every step, (T+1,), and the
-    policy's decision at every node under it, (T+1, nodes)."""
-    tree = policy.tree
-    distances = prefix_distances(policy.defining_ttd.values, info)
-    event = nearest_events(tree.member, distances.T)
-    return event, policy.choices[:, tree.start + event].T
+def _stacked(policies: Sequence[Policy], splits: SplitSchedule) -> tuple:
+    """A policy set as both loaders read it: split rows (P, T+1), defining
+    values (P, R, L, T+1) and probabilities (P, R), event numbers (P, T+1, R),
+    and every policy's decision at every node, a row per event column; policy
+    p's step-t event e, on its own tree, is row ``start[p, t] + e``."""
+    shares = np.stack([splits.row(p.label) for p in policies])
+    defining = np.stack([p.defining_ttd.values for p in policies])
+    probabilities = np.stack([p.defining_ttd.probabilities for p in policies])
+    member = np.stack([p.tree.member for p in policies])
+    decisions = np.hstack([p.choices for p in policies]).T
+    width = np.cumsum([0] + [p.choices.shape[1] for p in policies[:-1]])
+    start = np.stack([p.tree.start for p in policies]) + width[:, None]
+    return shares, defining, probabilities, member, decisions, start
 
 
-def _expected_advance(ttd: TravelTimeDistribution, inside: np.ndarray, dt: float) -> np.ndarray:
-    """Clock advance over every (step, link): the link's expected traversal
-    time over the realizations in that step's event (``inside``, (T+1, R)),
-    rounded to the grid and at least one step."""
-    probs, values = ttd.probabilities, ttd.values
-    weights = np.where(inside, probs, 0.0)
-    mean = np.einsum("sr,rls->sl", weights, values) / weights.sum(axis=1)[:, None]
+def _expected_advance(probs, values, inside, dt: float) -> np.ndarray:
+    """Clock advance over every (policy, step, link): the link's expected
+    traversal time under the policy's defining ``probs`` (P, R) and
+    ``values`` (P, R, L, T+1) over the realizations in that step's event
+    (``inside``, (P, T+1, R)), rounded to the grid and at least one step."""
+    weights = np.where(inside, probs[:, None], 0.0)
+    mean = np.einsum("psr,prls->psl", weights, values) / weights.sum(axis=2)[..., None]
     # The rounding is defined on ``w @ values / w.sum()`` over the event's
     # members; summed in another order, a mean within rounding error of a
     # half step may round the other way, so those few are redone that way.
     x = mean / dt + 0.5
-    for s, li in zip(*np.nonzero(np.abs(x - np.rint(x)) <= 1e-9 * x)):
-        support = np.flatnonzero(inside[s])
-        w = probs[support]
-        mean[s, li] = w @ values[support, li, s] / w.sum()
+    for p, s, li in zip(*np.nonzero(np.abs(x - np.rint(x)) <= 1e-9 * x)):
+        support = np.flatnonzero(inside[p, s])
+        w = probs[p, support]
+        mean[p, s, li] = w @ values[p, support, li, s] / w.sum()
     return np.maximum(dt, (mean / dt + 0.5).astype(np.int64) * dt)
 
 
@@ -617,11 +621,13 @@ def _policy_links(
     network: Network, policies: Sequence[Policy], splits: SplitSchedule, scenario: Scenario
 ) -> tuple:
     """The network's links, on which every policy must be defined, in the
-    network's order, since its decisions are link indices.  Policies and
-    splits must cover the scenario's horizon."""
+    network's order, since its decisions are link indices, over as many
+    realizations.  Policies and splits must cover the scenario's horizon."""
     links = links_of(network)
     if any(p.defining_ttd.links != links for p in policies):
         raise ValidationError("policies must be defined on the network's links, in its order")
+    if len({p.defining_ttd.n_realizations for p in policies}) > 1:
+        raise ValidationError("policies must be defined on distributions of as many realizations")
     T = scenario.horizon_steps
     if splits.horizon_steps != T or any(p.horizon_steps != T for p in policies):
         raise ValidationError(f"policies and splits must cover the scenario's {T} steps")
@@ -653,17 +659,9 @@ def po_ltm(
     T = scenario.horizon_steps
     K = len(policies)
     turns = _Turns(network)
-    shares = np.vstack([splits.row(p.label) for p in policies])
-    defining = np.stack([p.defining_ttd.values for p in policies])   # (K, R', L, T+1)
-    member = np.stack([p.tree.member for p in policies])             # (K, T+1, R')
-    # every policy's next link (or -1) at each diverge under each event, one
-    # row per (policy, event column); policy k's step-t events start at row
-    # first[k, t]
-    routes = np.hstack([
-        p.choices[[p.node_index[n] for n in turns.diverge_nodes]] for p in policies
-    ]).T
-    width = np.cumsum([0] + [p.choices.shape[1] for p in policies[:-1]])
-    first = np.stack([p.tree.start for p in policies]) + width[:, None]
+    shares, defining, _, member, decisions, start = _stacked(policies, splits)
+    # every policy's next link (or -1) at each diverge, a row per event column
+    routes = decisions[:, [policies[0].node_index[n] for n in turns.diverge_nodes]]
     reals = scenario.realizations
     engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
     cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
@@ -675,7 +673,7 @@ def po_ltm(
             if t >= 2:
                 running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
             event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
-            engine.set_route(routes[first[:, t] + event])
+            engine.set_route(routes[start[:, t] + event])
             engine.step(t, cum)
             info[..., t] = engine.travel_time_column(t)
     engine.check_monotone()

@@ -87,12 +87,16 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class Network:
+    """Nodes, links and the origin-destination pair.  Merge priorities are
+    normalized on construction (see ``_normalized_merge_priorities``)."""
+
     nodes: tuple[NodeId, ...]
     links: tuple[LinkSpec, ...]
     origin: NodeId
     destination: NodeId
 
     def __post_init__(self):
+        object.__setattr__(self, "links", _normalized_merge_priorities(self.links))
         ids = [l.id for l in self.links]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate link ids")
@@ -179,15 +183,9 @@ def validate(network: Network) -> list[str]:
 
     for node in network.nodes:
         try:
-            kind = classify_node(network, node)
+            classify_node(network, node)
         except UnsupportedNodeType as err:
             out.append(str(err))
-            continue
-        if kind is NodeKind.MERGE:
-            ps = [l.merge_priority for l in network.in_links[node]]
-            given = [p for p in ps if p is not None]
-            if len(given) == 2 and abs(sum(given) - 1.0) > 1e-9:
-                out.append(f"node {node}: merge priorities {given} do not sum to 1")
 
     fwd = reachable(network.links, network.origin)
     bwd = reachable(network.links, network.destination, forward=False)
@@ -261,7 +259,7 @@ def shaped(value: Any, shape: str, what: str) -> Any:
     return value
 
 
-def _normalized_merge_priorities(links: list[LinkSpec]) -> list[LinkSpec]:
+def _normalized_merge_priorities(links: tuple[LinkSpec, ...]) -> tuple[LinkSpec, ...]:
     # Default 0.5 per incoming link at a merge; a single given value fixes
     # its partner to the complement, two given values are normalized.
     by_head: dict[NodeId, list[int]] = {}
@@ -281,12 +279,10 @@ def _normalized_merge_priorities(links: list[LinkSpec]) -> list[LinkSpec]:
             pb = 1.0 - pa
         else:
             total = pa + pb
-            if total <= 0:
-                raise ValidationError(f"merge at node {a.to_node}: bad priorities")
             pa, pb = pa / total, pb / total
         out[idxs[0]] = replace(a, merge_priority=pa)
         out[idxs[1]] = replace(b, merge_priority=pb)
-    return out
+    return tuple(out)
 
 
 def parse_network(document: Document) -> Network:
@@ -321,12 +317,7 @@ def parse_network(document: Document) -> Network:
         except (TypeError, ValueError) as err:
             raise ParseError(f"malformed link entry: {err}") from None
 
-    network = Network(
-        nodes=nodes,
-        links=tuple(_normalized_merge_priorities(links)),
-        origin=origin,
-        destination=destination,
-    )
+    network = Network(nodes=nodes, links=tuple(links), origin=origin, destination=destination)
     violations = validate(network)
     if violations:
         raise ValidationError("invalid network", violations)

@@ -63,6 +63,13 @@ class Scenario:
         link_sets = {frozenset(r.capacity) for r in self.realizations}
         if len(link_sets) != 1:
             raise ValidationError("realizations disagree on the capacity link set")
+        samples = (self.horizon_steps + 1,)
+        for i, r in enumerate(self.realizations):
+            if r.demand.shape != samples or any(c.shape != samples for c in r.capacity.values()):
+                raise ValidationError(
+                    f"realization {i}: demand and capacity need {samples[0]} samples, "
+                    f"one per step 0..{self.horizon_steps}"
+                )
 
     @property
     def probabilities(self) -> np.ndarray:

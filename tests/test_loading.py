@@ -21,8 +21,9 @@ from sdta import (
     po_ltm,
     single_route_pathset,
     splits_for,
+    with_realizations,
 )
-from sdta.loading import _decisions, _translate_info
+from sdta.loading import _stacked, _translate_info
 
 KAPPA = ChoiceParams()
 
@@ -196,13 +197,14 @@ def test_policy_incidence_maps_nodes_to_links(diamond):
     # every decision the loaders look up leaves the node it is taken at
     net, _ = diamond
     scn = load_scenario("diamond", net, steps=150)
-    policies, _ = policies_and_splits(net, scn)
-    info = free_flow_distribution(net, scn).values[0]
+    policies, splits = policies_and_splits(net, scn)
+    decisions = _stacked(policies, splits)[4]
+    assert decisions.shape == (sum(p.choices.shape[1] for p in policies), len(net.nodes))
     for policy in policies:
         assert policy.defining_ttd.links == links_of(net)
-        decisions = _decisions(policy, info)[1]
-        assert decisions.shape == (scn.horizon_steps + 1, len(policy.nodes))
-        for node, li in zip(policy.nodes, decisions[10]):
+        assert policy.nodes == policies[0].nodes
+    for row in decisions:
+        for node, li in zip(policies[0].nodes, row):
             if li >= 0:
                 assert net.links[li].from_node == node
 
@@ -283,6 +285,22 @@ def test_policies_must_cover_the_scenario_horizon(diamond):
         po_ltm(net, policies, splits, scn)
     with pytest.raises(ValidationError, match="cover the scenario's 80 steps"):
         iterative_loading(net, policies, splits, scn, k_inner=1)
+
+
+@pytest.mark.parametrize("loader", ["po_ltm", "iterative_loading"])
+def test_policies_must_share_a_realization_count(diamond, loader):
+    # the loaders stack the policy set, one realization axis for all
+    net, _ = diamond
+    scn = load_scenario("diamond", net, steps=40)
+    policies, splits = policies_and_splits(net, scn, zs=(1.5,))
+    single, _ = policies_and_splits(net, with_realizations(scn, 1, 0), zs=(1.5,))
+    mixed = [policies[0], single[1]]
+    assert mixed[1].label == policies[1].label
+    with pytest.raises(ValidationError, match="as many realizations"):
+        if loader == "po_ltm":
+            po_ltm(net, mixed, splits, scn)
+        else:
+            iterative_loading(net, mixed, splits, scn, k_inner=1)
 
 
 def test_path_usage_must_cover_the_demand_horizon(twolinks):

@@ -1,6 +1,11 @@
-import pytest
+import dataclasses
 
+import pytest
+import yaml
+
+from conftest import read_fixture
 from sdta import (
+    Network,
     NodeKind,
     ParseError,
     UnsupportedNodeType,
@@ -9,6 +14,7 @@ from sdta import (
     parse_network,
     serialize_network,
 )
+from sdta.loading import _Turns
 from sdta.network import validate
 
 # diverge at 2, merge at 5, plain relays at 3 and 4
@@ -136,3 +142,23 @@ links:
     with pytest.raises((UnsupportedNodeType, ValidationError)):
         net = parse_network(doc)
         classify_node(net, 2)
+
+
+@pytest.mark.parametrize("given, want", [((None, 0.7), (0.3, 0.7)), ((0.3, 0.3), (0.5, 0.5))])
+def test_a_hand_built_network_gets_the_parsed_merge_priorities(given, want):
+    # diamond merges 3-5 and 4-5 at node 5; the loader reads the normalized
+    # priorities whichever way the network was built
+    given = dict(zip(("3-5", "4-5"), given))
+    doc = yaml.safe_load(read_fixture("diamond.net.yaml"))
+    for link in doc["links"]:
+        if given.get(link["id"]) is not None:
+            link["priority"] = given[link["id"]]
+    parsed = parse_network(doc)
+    built = Network(parsed.nodes, tuple(
+        dataclasses.replace(l, merge_priority=given.get(l.id)) for l in parsed.links
+    ), parsed.origin, parsed.destination)
+    for net in (parsed, built):
+        by_id = {l.id: l.merge_priority for l in net.links}
+        assert (by_id["3-5"], by_id["4-5"]) == pytest.approx(want)
+        assert _Turns(net).merge_share == pytest.approx(want)
+    assert built.links == parsed.links

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sdta import (
     ParseError,
     ProbabilityMassError,
+    Realization,
     ValidationError,
     parse_network,
     parse_scenario,
@@ -175,3 +178,16 @@ def test_fixture_scenarios_parse(twolinks, diamond):
         assert scn.probabilities.sum() == pytest.approx(1.0)
         for real in scn.realizations:
             assert set(real.capacity) == {l.id for l in net.links}
+
+
+def test_series_must_cover_the_horizon():
+    # demand and capacity hold one sample per step 0..T; a shorter series
+    # would surface as a broadcasting error deep in a loader
+    scn = parse_scenario(doc(steps=40), NET)
+    with pytest.raises(ValidationError, match="realization 0: .* need 61 samples"):
+        dataclasses.replace(scn, horizon_steps=60)
+    real = scn.realizations[1]
+    short = Realization(real.probability, real.demand,
+                        {k: v[:-1] for k, v in real.capacity.items()})
+    with pytest.raises(ValidationError, match="realization 1: .* need 41 samples"):
+        dataclasses.replace(scn, realizations=(scn.realizations[0], short))

@@ -1,17 +1,19 @@
 """Policy-to-path translation: the batched walk against the scalar one.
 
 ``sdta.loading._translate_info`` walks every (policy, departure) pair at
-once on per-policy tables (matched event, decisions, clock advance) and
-pools the whole set in one numbering; ``oracles.translate_walk`` is the
-former one-walk-per-policy-and-departure version.  They must produce the
-same paths and the same usage fractions, bit for bit, also for policies
-with event trees of their own.  A walk without a decision names its own
-policy, as in the scalar walk, and where several walks fail the batch names
-the one that fails at the earliest hop; the hop guard holds beside policies
-that arrive.
+once on tables of the stacked policy set (matched event, decisions, clock
+advance, one row per policy) and pools the whole set in one numbering;
+``oracles.translate_walk`` is the former one-walk-per-policy-and-departure
+version.  They must produce the same paths and the same usage fractions,
+bit for bit, also for policies with event trees of their own.  A walk
+without a decision names its own policy, as in the scalar walk, and where
+several walks fail the batch names the one that fails at the earliest hop;
+the hop guard holds beside policies that arrive and names the one that
+cycles.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -150,7 +152,7 @@ def test_expected_advance_rounds_as_the_scalar_mean(data):
         st.lists(st.booleans(), min_size=R, max_size=R).filter(any),
         min_size=T + 1, max_size=T + 1,
     )))
-    advance = _expected_advance(ttd, inside, dt)
+    (advance,) = _expected_advance(ttd.probabilities[None], ttd.values[None], inside[None], dt)
     for s in range(T + 1):
         support = list(np.flatnonzero(inside[s]))
         weights = ttd.probabilities[support]
@@ -222,7 +224,8 @@ def test_the_hop_guard_holds_beside_an_arriving_policy(cycling):
     decisions = [arrives, arrives]
     decisions[cycling] = cycles
     policies, splits, ttd = hand_built([("a", 1, 2), ("b", 2, 1), ("c", 2, 3)], *decisions)
-    with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
+    label = re.escape(policies[cycling].label)
+    with pytest.raises(NonTerminatingTranslation, match=rf"^policy {label}: .* exceeded 8 hops"):
         _translate_info(policies, splits, ttd.values[0], ttd.dt)
     with pytest.raises(NonTerminatingTranslation, match="exceeded 8 hops"):
         translate_walk(policies, splits, ttd.values[0], ttd.dt)
