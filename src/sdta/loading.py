@@ -103,9 +103,11 @@ class _Turns:
     Flows move along turns: origin -> link, link -> link and link ->
     destination.  A link is fed by one turn (two below a merge) and drains
     through one (two above a diverge).  Turns are ordered by the rule that
-    moves them: origin, destination and inhomogeneous nodes first (all
-    ``min(supply, receiving)``; the origin is turn 0), then merges (a-sides,
-    then b-sides), then diverges (a-sides, then b-sides).  Index L stands
+    moves them: origin, destination and inhomogeneous nodes first (the
+    origin is turn 0), then merges (a-sides, then b-sides), then diverges
+    (a-sides, then b-sides).  The first two groups move by the merge rule: a
+    simple turn is a merge whose partner claims nothing and whose priority
+    share is 1, which is exactly ``min(supply, receiving)``.  Index L stands
     for the origin's demand as a turn source and for the sink as a target.
     """
 
@@ -143,19 +145,26 @@ class _Turns:
         self.L, self.M = L, M
         self.n_nodes = len(network.nodes)
         self.links = network.links
+        self.origin_link = outs[network.origin][0]
         self.dest_in = ins[network.destination][0]
         self.src = src
-        self.simple = slice(0, ns)
-        self.merge = slice(ns, ns + 2 * m)
+        self.ruled = slice(0, ns + 2 * m)
         self.diverge = slice(ns + 2 * m, M)
-        # indices into the flattened (supply | receiving) rows of width L+1
-        self.simple_ends = np.array([src[self.simple], L + 1 + dst[self.simple]])
-        merge_src = src[self.merge]
-        self.merge_ends = np.array([merge_src, merge_src[swap(m)], L + 1 + dst[self.merge]])
+        # rows of the engine's flow ends: sending 0..L-1, receiving L..2L-1,
+        # the sink 2L, a zero row 2L+1 and the turns' weight totals from 2L+2
+        # (turn 0's is the origin's supply).  Per ruled turn: its own claim,
+        # its partner's (the zero row for a simple turn) and its target's
+        # receiving flow; per diverge turn: its target's receiving flow and
+        # the other branch's total.
+        total = 2 * L + 2
+        ruled = np.arange(ns + 2 * m)
+        own = np.where(src[ruled] < L, src[ruled], total)
+        other = np.r_[np.full(ns, 2 * L + 1), src[ns:ns + 2 * m][swap(m)]]
+        self.ends = np.r_[own, other, L + dst[ruled], L + dst[self.diverge],
+                          total + ns + 2 * m + swap(d)]
         self.merge_share = np.array(priority + [1.0 - p for p in priority])
-        self.diverge_other = ns + 2 * m + swap(d)
+        self.share = np.r_[np.ones(ns), self.merge_share][:, None]
         self.diverge_target = dst[self.diverge]
-        self.diverge_receiving = L + 1 + self.diverge_target
         self.diverge_in = [i for i, _ in diverge_a]
         self.diverge_of_turn = np.r_[np.arange(d), np.arange(d)]
         # feed[first | second, side, link]: turns into a link's upstream end
@@ -179,18 +188,38 @@ class _Turns:
         return route
 
 
+# Constants of the step as 0-d arrays, which ufuncs take without converting.
+_ZERO, _XI = np.array(0.0), np.array(XI)
+
+
+def _checked(index: np.ndarray, size: int) -> np.ndarray:
+    """A gather table, once its entries are known to lie in [0, size):
+    the step gathers with ``mode="clip"``, which never raises."""
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise ValueError(f"gather index outside [0, {size})")
+    return index
+
+
 class _Engine:
     """Array-backed LTM step engine for a batch of realizations.
 
-    Every cumulative count lives in ``curves[realization, side, link, row,
-    step]``: side 0 is a link's upstream end and side 1 its downstream end,
-    row 0 the aggregate and rows 1..K the commodities.  ``up``/``down`` are
-    the aggregate (R, L, T+1) views and ``up_by``/``down_by`` the
-    (R, L, K, T+1) commodity views.  A step computes one flow per turn (see
-    ``_Turns``) for every realization at once, each archetype group with a
-    fixed number of array operations, and adds at most two turns into every
-    curve.  Step t reads samples up to t-1 only, so the order of nodes never
-    matters.  Realizations share nothing but the network: reductions run
+    Every cumulative count lives in ``C[step, row, side, link,
+    realization]``: side 0 is a link's upstream end and side 1 its
+    downstream end, row 0 the aggregate and rows 1..K the commodities.  A
+    step reads and writes whole blocks with realizations innermost: one
+    gather per lookback sample reads every sending, receiving and commodity
+    entry, and every temporary is written with ``out=`` into buffers made
+    once.  ``curves`` views the same counts as [realization, side, link,
+    row, step]; ``up``/``down`` are its aggregate (R, L, T+1) views and
+    ``up_by``/``down_by`` the (R, L, K, T+1) commodity views.
+
+    A step computes one flow per turn (see ``_Turns``) for every
+    realization at once, each archetype group with a fixed number of array
+    operations, and adds at most two turns into every curve.  Step t reads
+    samples up to t-1 only, so the order of nodes never matters.  The
+    origin keeps no counts of its own: what it has released by step t-1 is
+    the origin link's upstream count then, the same sequential sum of the
+    same flows.  Realizations share nothing but the network: reductions run
     along the commodity axis only, so each realization's numbers are those
     of a batch of one.
     """
@@ -204,45 +233,43 @@ class _Engine:
         n_commodities: int,
         strict_origin: bool,
     ):
-        L, M, K, T, R = turns.L, turns.M, n_commodities, horizon_steps, len(capacities)
+        L, K, T, R = turns.L, n_commodities, horizon_steps, len(capacities)
         self.turns = turns
         self.L, self.K, self.T, self.R, self.dt = L, K, T, R, dt
         self.strict_origin = strict_origin
-        self.curves = np.zeros((R, 2, L, K + 1, T + 1))
+        self.C = np.zeros((T + 1, K + 1, 2, L, R))
+        self.curves = self.C.transpose(4, 2, 3, 1, 0)
         self.up, self.down = self.curves[:, 0, :, 0], self.curves[:, 1, :, 0]
         self.up_by, self.down_by = self.curves[:, 0, :, 1:], self.curves[:, 1, :, 1:]
-        self.released_by = np.zeros((R, K))
-        self.origin_flow = np.zeros((R, T + 1))   # aggregate release per step
         links = turns.links
-        self.free_time = np.maximum([l.free_flow_time for l in links], dt)
-        self.slack = np.zeros((2, L))         # added to the (sending | receiving) lookbacks
-        self.slack[1] = [l.storage for l in links]
+        self.free_time = np.maximum([l.free_flow_time for l in links], dt)[:, None]
+        self.storage = np.array([l.storage for l in links])[:, None]
+        self.capacity = np.empty((T + 1, L, R))
         steps = np.arange(T + 1)
-        self.capacity = np.stack([
-            np.stack([c[l.id][np.minimum(steps, c[l.id].size - 1)] for l in links], axis=1)
-            for c in capacities
-        ], axis=1)  # (T+1, R, L)
+        for r, capacity in enumerate(capacities):
+            for i, link in enumerate(links):
+                series = capacity[link.id]
+                self.capacity[:, i, r] = series[np.minimum(steps, series.size - 1)]
         self._lookback_tables()
-        self._flow = np.zeros((R, 2, L + 1))  # sending | receiving, column L: origin | sink
-        self._flow[:, 1, L] = np.inf
-        self._weights = np.zeros((R, L + 1, K))   # row L: origin demand
-        self._turn_flows = np.zeros((R, M + 1, K + 1))
-        self._mask = np.zeros((R, M - turns.diverge.start, K))   # see set_route
+        self._buffers()
 
     def _lookback_tables(self) -> None:
-        """Flat curve indices and weights of the step-t lookbacks.
+        """Rows and weights of the step-t lookbacks.
 
         Sending reads the upstream curves at (t+1)dt - L/vf, receiving the
         aggregate downstream curve at (t+1)dt - L/w, interpolated as
         ``interp`` does: clamped at the last recorded sample t-1, and 0 at
-        or before time 0.  ``look[t]`` holds each link's aggregate upstream
-        then downstream sample index within one realization; the reads of a
-        step are, in order, aggregate up, aggregate down and commodity up by
-        (link, commodity), and ``read_link``/``read_offset`` map them onto
-        ``look``, with each realization's offset in ``read_offset``'s rows.
+        or before time 0.  A row of ``_rows`` holds the R counts of one
+        (step, row, side, link); ``_read[t]`` holds the row of the earlier
+        sample of every entry, the aggregate upstream (sending) and
+        downstream (receiving) read and each commodity's upstream read, by
+        link.  ``_frac[t]`` holds the sending and receiving weight, which
+        the commodity reads share with sending.  The later sample is the
+        same row a step on, a row of ``_next``.
         """
-        L, K, T1, dt = self.L, self.K, self.T + 1, self.dt
-        steps = np.arange(T1)
+        L, K, T, dt = self.L, self.K, self.T, self.dt
+        S = (K + 1) * 2 * L                        # rows per step
+        steps = np.arange(T + 1)
         last = np.maximum(steps - 1, 0)[:, None]
 
         def table(lag):
@@ -257,113 +284,207 @@ class _Engine:
         links = self.turns.links
         lo_f, frac_f = table(np.array([l.free_flow_time for l in links]))
         lo_w, frac_w = table(np.array([l.backward_wave_time for l in links]))
-        row = np.arange(L) * (K + 1) * T1          # curve (side 0, link, row 0)
-        batch = np.arange(self.R)[:, None] * (2 * L * (K + 1) * T1)
-        self.look = np.hstack([lo_f + row, lo_w + row + L * (K + 1) * T1])
-        self.look_frac = np.hstack([frac_f, frac_w])
-        self.read_link = np.r_[np.arange(2 * L), np.repeat(np.arange(L), K)]
-        self.read_offset = batch + np.r_[
-            np.zeros(2 * L, np.int64), np.tile(np.arange(1, K + 1) * T1, L)
-        ]
-        self.up_start = batch + row               # (R, L): sample 0 of each `up` curve
-        self.flat = self.curves.reshape(-1)
+        read = np.empty((T + 1, K + 2, L), dtype=np.int64)
+        read[:, 0] = lo_f * S + np.arange(L)
+        read[:, 1] = lo_w * S + np.arange(L, 2 * L)
+        read[:, 2:] = read[:, :1] + (np.arange(1, K + 1) * 2 * L)[:, None]
+        self._read = _checked(read, T * S)
+        self._frac = np.stack([frac_f, frac_w], axis=1)[..., None]
+        self._rows = self.C.reshape(-1, self.R)
+        self._next = self._rows[S:]
+        # the aggregate upstream curves with steps last, as far as copied
+        # (see ``_upstream``), and the flat index of each curve's sample 0
+        self._up_last = np.zeros((self.R, L, T + 1))
+        self._up_copied = 0
+        self._up_start = (np.arange(self.R)[:, None] * L + np.arange(L))[..., None] * (T + 1)
+
+    def _buffers(self) -> None:
+        """Every temporary of a step, and its views."""
+        tu, L, K, R = self.turns, self.L, self.K, self.R
+        M, n = tu.M, tu.ruled.stop
+        # earlier | later lookback samples, the earlier one interpolated in
+        # place: sending and receiving entries, then the commodities'
+        self._early, self._late = np.empty((2, K + 2, L, R))
+        self._ahead, self._ahead_by = self._early[:2], self._early[2:]
+        self._receiving = self._early[1]
+        self._diff = np.empty((K + 2, L, R))
+        self._diff_ends, self._diff_by = self._diff[:2], self._diff[2:]
+        # flow ends (rows as ``_Turns.ends`` names them): the sink's receiving
+        # flow is infinite
+        self._ends = np.zeros((2 * L + 2 + M, R))
+        self._ends[2 * L] = np.inf
+        self._bounds = self._ends[: 2 * L].reshape(2, L, R)
+        self._total = self._ends[2 * L + 2:]
+        # commodity weights (K, L+1, R), column L the origin's demand, then a
+        # zero cell that masked diverge turns read
+        self._wflat = np.zeros(K * (L + 1) * R + 1)
+        self._weights = self._wflat[:-1].reshape(K, L + 1, R)
+        self._gap_by, self._avail = self._weights[:, :L], self._weights[:, L]
+        self._wsrc = _checked((np.arange(K)[:, None] * (L + 1) + tu.src)[..., None] * R
+                              + np.arange(R), self._wflat.size)
+        self._widx = self._wsrc.copy()
+        self._widx[:, tu.diverge] = self._wflat.size - 1   # no route until set_route
+        self._w = np.empty((K, M, R))             # weights per turn
+        self._w_by = list(self._w)
+        self._e = np.empty((tu.ends.size, R))
+        self._own, self._other, self._rec = self._e[: 3 * n].reshape(3, n, R)
+        self._div_rec, self._div_other = self._e[3 * n:].reshape(2, M - n, R)
+        self._lo, self._hi = np.empty((2, n, R))
+        self._fits = np.empty((n, R), dtype=bool)
+        self._ratio = np.empty((M - n, R))
+        self._own_div = self._total[n:]
+        # turn flows: row 0 aggregate, rows 1..K commodities; turn M is zero
+        self._turn = np.zeros((K + 1, M + 1, R))
+        self._g = self._turn[0, :M]
+        self._g_ruled, self._g_div = self._g[:n], self._g[n:]
+        self._turn_by = self._turn[1:, :-1]
+        self._split = np.empty((K, M, R))
+        self._denominator = np.empty((M, R))
+        self._turn_rows = self._turn.reshape(-1, R)
+        self._feed = _checked(np.arange(K + 1)[:, None, None] * (M + 1) + tu.feed[:, None],
+                              self._turn_rows.shape[0])
+        self._fed = np.empty((2, K + 1, 2, L, R))
+        self._fed_first, self._fed_second = self._fed
+        _checked(tu.ends, self._ends.shape[0])
+
+    def _boundary(self, t: int) -> None:
+        """Sending and receiving flows into ``_bounds`` and the commodity
+        gaps into ``_gap_by``, at step t."""
+        early, diff, read, frac = self._early, self._diff, self._read[t], self._frac[t]
+        self._rows.take(read, 0, early, "clip")
+        self._next.take(read, 0, self._late, "clip")
+        np.subtract(self._late, early, out=diff)
+        np.multiply(frac, self._diff_ends, out=self._diff_ends)
+        np.multiply(frac[0], self._diff_by, out=self._diff_by)
+        np.add(early, diff, out=early)
+        np.add(self._receiving, self.storage, out=self._receiving)
+        prev = self.C[t - 1]
+        np.subtract(self._ahead, prev[0, ::-1], out=self._bounds)
+        np.minimum(self._bounds, self.capacity[t], out=self._bounds)
+        np.maximum(_ZERO, self._bounds, out=self._bounds)
+        np.subtract(self._ahead_by, prev[1:, 1], out=self._gap_by)
 
     def boundary_flows(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Sending (side 0) and receiving (side 1) flow per realization and
         link at step t, (R, 2, L), and the per-commodity gap (R, L, K)
         between the upstream lookback and the downstream count."""
-        L = self.L
-        prev = self.curves[..., t - 1]
-        at = self.look[t].take(self.read_link) + self.read_offset
-        a, b = self.flat.take(at), self.flat.take(at + 1)
-        ahead = a + self.look_frac[t].take(self.read_link) * (b - a)
-        gap = ahead[:, : 2 * L].reshape(-1, 2, L) + self.slack - prev[:, ::-1, :, 0]
-        flows = np.maximum(
-            0.0, np.minimum(gap, self.capacity[t][:, None]), out=self._flow[:, :, :L]
-        )
-        return flows, ahead[:, 2 * L:].reshape(-1, L, self.K) - prev[:, 1, :, 1:]
+        self._boundary(t)
+        return self._bounds.transpose(2, 0, 1), self._gap_by.transpose(2, 1, 0)
 
     def set_route(self, route: np.ndarray) -> None:
         """Route table (R, K, diverges): each commodity's next link index at
-        each diverge, or -1 for no decision; holds until the next call."""
+        each diverge, or -1 for no decision; holds until the next call.  A
+        diverge turn a commodity is not routed along reads a zero weight."""
         tu = self.turns
-        self._mask = (route.swapaxes(1, 2)[:, tu.diverge_of_turn]
-                      == tu.diverge_target[:, None]) * 1.0
+        keep = route.transpose(1, 2, 0)[:, tu.diverge_of_turn] == tu.diverge_target[:, None]
+        self._widx[:, tu.diverge] = np.where(keep, self._wsrc[:, tu.diverge],
+                                             self._wflat.size - 1)
 
     def step(self, t: int, cum_demand: np.ndarray) -> None:
         """Move step t's flows; ``cum_demand`` is (R, K, T+1)."""
-        tu, L = self.turns, self.L
-        flows, gaps = self.boundary_flows(t)
-        weights = self._weights
-        np.maximum(gaps, 0.0, out=weights[:, :L])
+        tu = self.turns
+        self._boundary(t)
         if self.strict_origin:
-            avail = cum_demand[..., t] - cum_demand[..., t - 1]
+            np.subtract(cum_demand[..., t].T, cum_demand[..., t - 1].T, out=self._avail)
         else:
-            avail = cum_demand[..., t] - self.released_by
-        np.maximum(avail, 0.0, out=weights[:, L])
+            np.subtract(cum_demand[..., t].T, self.C[t - 1, 1:, 0, tu.origin_link],
+                        out=self._avail)
+        np.maximum(self._weights, _ZERO, out=self._weights)
 
         # commodity weights per turn: the source's gaps (the origin's
-        # demand), kept at a diverge only for commodities routed that way
-        w = weights.take(tu.src, axis=1)
-        w[:, tu.diverge] *= self._mask
-        total = np.cumsum(w, axis=2)[..., -1]   # in commodity order, as `sum`
-        self._flow[:, 0, L] = total[:, 0]
+        # demand), zero at a diverge for commodities routed the other way;
+        # their total summed in commodity order
+        w, total = self._w, self._total
+        self._wflat.take(self._widx, None, w, "clip")
+        first, *others = self._w_by
+        if others:
+            np.add(first, others[0], out=total)
+            for w_k in others[1:]:
+                np.add(total, w_k, out=total)
+        else:
+            np.copyto(total, first)
 
-        g = np.empty((self.R, tu.M))          # aggregate flow per turn
-        ends = self._flow.reshape(self.R, -1)
-        sup, rec = ends.take(tu.simple_ends, axis=1).swapaxes(0, 1)
-        np.minimum(sup, rec, out=g[:, tu.simple])
-        if tu.merge.stop > tu.merge.start:
-            # Daganzo: everything when it fits, else median(claim, leftover,
-            # priority share), as `transition_merge`
-            own, other, rec = ends.take(tu.merge_ends, axis=1).swapaxes(0, 1)
-            leftover = rec - other
-            median = np.maximum(
-                np.minimum(own, leftover),
-                np.minimum(np.maximum(own, leftover), tu.merge_share * rec),
-            )
-            g[:, tu.merge] = np.where(own + other <= rec, own, median)
-        if tu.diverge.stop > tu.diverge.start:
-            # routed gaps throttled by the other branch, as `transition_diverge`;
-            # callers ignore overflow, as a subnormal `other` sends the ratio
-            # to inf, which `own` clips
-            own = total[:, tu.diverge]
-            other = total.take(tu.diverge_other, axis=1)
-            rec = ends.take(tu.diverge_receiving, axis=1)
-            ratio = np.where(other > 0.0, rec * own / other, np.inf)
-            g[:, tu.diverge] = np.maximum(0.0, np.minimum(np.minimum(ratio, own), rec))
+        # Daganzo: everything when it fits, else median(claim, leftover,
+        # priority share), as `transition_merge`
+        g = self._g_ruled
+        own, other, rec, lo, hi = self._own, self._other, self._rec, self._lo, self._hi
+        self._ends.take(tu.ends, 0, self._e, "clip")
+        np.subtract(rec, other, out=hi)                  # leftover
+        np.minimum(own, hi, out=lo)
+        np.maximum(own, hi, out=hi)
+        np.minimum(hi, np.multiply(tu.share, rec, out=g), out=hi)
+        np.maximum(lo, hi, out=g)
+        np.less_equal(np.add(own, other, out=hi), rec, out=self._fits)
+        np.copyto(g, own, where=self._fits)
+        if self._ratio.size:
+            # routed gaps throttled by the other branch, as `transition_diverge`:
+            # with no other total the ratio is unbounded, and `fmin` drops the
+            # NaN or inf of a division by zero as that bound would; callers
+            # ignore overflow, as a subnormal `other` sends the ratio to inf,
+            # which `own` clips
+            own, ratio = self._own_div, self._ratio
+            np.divide(np.multiply(self._div_rec, own, out=ratio), self._div_other, out=ratio)
+            np.minimum(np.fmin(ratio, own, out=ratio), self._div_rec, out=ratio)
+            np.maximum(_ZERO, ratio, out=self._g_div)
 
         # turn flows: aggregate, then split over commodities in proportion
         # to their weights; each curve adds its (at most two) turns
-        table = self._turn_flows
-        table[:, :-1, 0] = g
-        np.divide(g[..., None] * w, (total + XI)[..., None], out=table[:, :-1, 1:])
-        self.origin_flow[:, t] = g[:, 0]
-        self.released_by += table[:, 0, 1:]
-        np.add(self.curves[..., t - 1],
-               table.take(tu.feed[0], axis=1) + table.take(tu.feed[1], axis=1),
-               out=self.curves[..., t])
+        np.divide(np.multiply(self._g, w, out=self._split),
+                  np.add(total, _XI, out=self._denominator), out=self._turn_by)
+        first, second = self._fed_first, self._fed_second
+        self._turn_rows.take(self._feed, 0, self._fed, "clip")
+        np.add(self.C[t - 1], np.add(first, second, out=first), out=self.C[t])
+
+    def _upstream(self, b: int) -> np.ndarray:
+        """The aggregate upstream curves up to step b-1 with steps last, (R,
+        L, b), as matching reads whole curves.  Each step is copied out of
+        ``C`` the first time it is read, by then moved and final."""
+        done = self._up_copied
+        if b > done:
+            self._up_last[..., done:b] = self.C[done:b, 0, 0].transpose(2, 1, 0)
+            self._up_copied = b
+        return self._up_last[..., :b]
+
+    def columns(self, a: int, b: int) -> np.ndarray:
+        """Travel time of the vehicle leaving each link at steps a..b-1,
+        each matched on the curves as recorded up to its own step; (R, L,
+        b - a).  A single step compares its exit counts with every recorded
+        upstream sample.  More steps search the samples up to b-1 instead:
+        an upstream count never decreases, so the samples below an exit
+        count are a prefix of the curve, and capping their number at the
+        column's own step counts the same."""
+        up, exits = self._upstream(b), self.C[a:b, 0, 1].transpose(2, 1, 0)
+        if b - a == 1:
+            j = np.add.reduce(up < exits, axis=2, dtype=np.int64)[..., None]
+        else:
+            j = self._below(up, exits)
+        steps = np.arange(a, b)
+        return _matched_times(self._up_last, self._up_start, exits, j, steps, steps, self.dt,
+                              self.free_time)
+
+    def _below(self, up: np.ndarray, exits: np.ndarray) -> np.ndarray:
+        """How many samples of each upstream curve (R, L, b) lie below each
+        of ``exits`` (R, L, n), by binary search."""
+        j = np.empty(exits.shape, dtype=np.int64)
+        for r in range(self.R):
+            for i in range(self.L):
+                j[r, i] = np.searchsorted(up[r, i], exits[r, i])
+        return j
 
     def travel_time_column(self, t: int) -> np.ndarray:
         """Travel time of the vehicle leaving each link at step t, matched
         on the curves as recorded up to step t; (R, L)."""
-        exits = self.down[..., t]
-        j = np.add.reduce(self.up[..., : t + 1] < exits[..., None], axis=2, dtype=np.int64)
-        return _matched_times(self.flat, self.up_start, exits, j, t, t, self.dt, self.free_time)
+        return self.columns(t, t + 1)[..., 0]
 
     def travel_times(self) -> np.ndarray:
         """Every travel time column at once, matched on the finished curves;
         (R, L, T+1) with column 0 mirroring column 1."""
-        exits = self.down[..., 1:]
-        j = np.array([
-            [np.searchsorted(u, e) for u, e in zip(ups, ends)]
-            for ups, ends in zip(self.up, exits)
-        ])
-        out = np.empty((self.R, self.L, self.T + 1))
-        out[..., 1:] = _matched_times(
-            self.flat, self.up_start[..., None], exits, j, np.arange(1, self.T + 1),
-            self.T, self.dt, self.free_time[:, None],
-        )
+        T = self.T
+        up, exits = self._upstream(T + 1), self.C[1:, 0, 1].transpose(2, 1, 0)
+        out = np.empty((self.R, self.L, T + 1))
+        out[..., 1:] = _matched_times(self._up_last, self._up_start, exits,
+                                      self._below(up, exits), np.arange(1, T + 1), T, self.dt,
+                                      self.free_time)
         out[..., 0] = out[..., 1]
         return out
 
@@ -371,14 +492,14 @@ class _Engine:
         """Node rules never move a negative flow; a decreasing curve means
         the state is corrupt.  Checked a realization at a time to keep the
         differences small."""
-        for curves in self.curves:
-            if np.any(np.diff(curves, axis=-1) < -1e-9):
+        for r in range(self.R):
+            if np.any(np.diff(self.C[..., r], axis=0) < -1e-9):
                 raise ValidationError("cumulative counts cannot decrease")
 
     def result(self, r: int, travel_times: np.ndarray, cum_demand: np.ndarray) -> LoadResult:
         """Realization r's diagnostics; ``cum_demand`` holds its own
         commodities only, so the demand totals sum exactly those rows."""
-        released = np.cumsum(self.origin_flow[r])
+        released = self.up[r, self.turns.origin_link]
         # per-step totals summed exactly as `cum_demand[:, t].sum()`
         demand = np.ascontiguousarray(cum_demand.T).sum(axis=1)
         backlog = np.maximum(0.0, demand - released)
@@ -393,19 +514,20 @@ class _Engine:
         )
 
 
-def _matched_times(flat, start, exits, j, t, last, dt, fallback):
+def _matched_times(curves, start, exits, j, t, last, dt, fallback):
     """Vectorised ``link_travel_time`` by count matching.
 
     ``exits`` are downstream counts at steps ``t`` (broadcast over links),
-    ``start`` the flat index in ``flat`` of sample 0 of each exit's upstream
-    curve, ``last`` the last upstream sample recorded, and ``j`` the first
-    upstream sample at or above each count (``last + 1`` when none is).
-    Entry time interpolates between samples j-1 and j, which lands exactly
-    on sample j's time when it hits the count.  A count a rounding error
-    above the last entry (j = last + 1) enters at or after ``last``, so its
-    time floors at one step as in ``inverse``.  No exits, or exits further
-    above the recorded entries, fall back to free flow.
+    ``start`` the flat index in ``curves`` of sample 0 of each exit's
+    upstream curve, ``last`` the last upstream sample recorded, and ``j``
+    the first upstream sample at or above each count (``last + 1`` when
+    none is).  Entry time interpolates between samples j-1 and j, which
+    lands exactly on sample j's time when it hits the count.  A count a
+    rounding error above the last entry (j = last + 1) enters at or after
+    ``last``, so its time floors at one step as in ``inverse``.  No exits,
+    or exits further above the recorded entries, fall back to free flow.
     """
+    flat = curves.reshape(-1)
     j = np.minimum(j, last)
     at = start + j
     lo, hi = flat.take(at - 1), flat.take(at)
@@ -483,9 +605,11 @@ def _translate_info(
     splits: SplitSchedule,
     info: np.ndarray,
     dt: float,
+    stacked: tuple | None = None,
 ) -> PathSet:
     """Realize each policy as one path per departure step against the
-    observed history ``info``, (L, T+1).
+    observed history ``info``, (L, T+1); ``stacked`` is the set as
+    ``_stacked`` reads it, if the caller has it already.
 
     Every (policy, departure) walker starts at the origin at its departure
     time, and all move together, one hop a pass: at every node the event
@@ -500,7 +624,9 @@ def _translate_info(
     head = np.array([node_index[l.to_node] for l in ttd.links], dtype=np.int64)
     # per policy and step s: the event nearest to the history before s on its
     # own tree, the decision at every node under it and the advance per link
-    shares, defining, probs, member, decisions, start = _stacked(policies, splits)
+    if stacked is None:
+        stacked = _stacked(policies, splits)
+    shares, defining, probs, member, decisions, start = stacked
     event = nearest_events(member, prefix_distances(defining, info).swapaxes(1, 2))
     decision = decisions[start + event]
     advance = _expected_advance(probs, defining, member == event[..., None], dt)
@@ -543,16 +669,17 @@ def _translate_info(
     return PathSet(paths, np.hstack([mu[:, :1], mu]))
 
 
-def _stacked(policies: Sequence[Policy], splits: SplitSchedule) -> tuple:
+def _stacked(policies: Sequence[Policy], splits: SplitSchedule, nodes=slice(None)) -> tuple:
     """A policy set as both loaders read it: split rows (P, T+1), defining
     values (P, R, L, T+1) and probabilities (P, R), event numbers (P, T+1, R),
-    and every policy's decision at every node, a row per event column; policy
-    p's step-t event e, on its own tree, is row ``start[p, t] + e``."""
+    and every policy's decision at each of ``nodes`` (positions in the node
+    order; all by default), a row per event column; policy p's step-t event
+    e, on its own tree, is row ``start[p, t] + e``."""
     shares = np.stack([splits.row(p.label) for p in policies])
     defining = np.stack([p.defining_ttd.values for p in policies])
     probabilities = np.stack([p.defining_ttd.probabilities for p in policies])
     member = np.stack([p.tree.member for p in policies])
-    decisions = np.hstack([p.choices for p in policies]).T
+    decisions = np.hstack([p.choices[nodes] for p in policies]).T
     width = np.cumsum([0] + [p.choices.shape[1] for p in policies[:-1]])
     start = np.stack([p.tree.start for p in policies]) + width[:, None]
     return shares, defining, probabilities, member, decisions, start
@@ -603,8 +730,9 @@ def iterative_loading(
     capacities = [real.capacity for real in reals]
 
     current = np.repeat(free.values[:1], len(reals), axis=0)
+    stacked = _stacked(policies, splits)
     for l in range(1, k_inner + 1):
-        pathsets = [_translate_info(policies, splits, info, dt) for info in current]
+        pathsets = [_translate_info(policies, splits, info, dt, stacked) for info in current]
         if stats is not None:
             stats.translations += len(reals)
         _, _, travel = _load_paths(
@@ -647,46 +775,101 @@ def po_ltm(
     """Chronological policy loading: one pass over time for all realizations.
 
     Policies are the commodities.  At every step each realization's travel
-    times written so far pick each policy's event (incrementally accumulated
-    absolute-difference metric), whose decisions at the diverges form that
-    step's route table; after moving flows the step's travel times are
-    appended to the realized history.  Every policy must be defined on the
+    times of the steps before pick each policy's event (incrementally
+    accumulated absolute-difference metric), whose decisions at the
+    diverges form that step's route table; the step's travel times then
+    join the realized history.  Every policy must be defined on the
     network's links in the network's order, since its decisions are link
     indices.  ``diagnostics`` (a list, if given) receives one LoadResult per
     realization, in order, for conservation checks.
+
+    Events are matched only at steps where some policy's diverge decisions
+    differ between the step's events; at every other step any event gives
+    the same route table.  So a step's travel times and their distances are
+    computed when a later match reads them, a bounded chunk of steps at a
+    time and still summed in step order, and the remaining travel times
+    after the last step.
     """
     links = _policy_links(network, policies, splits, scenario)
-    T = scenario.horizon_steps
-    K = len(policies)
+    T, K, R = scenario.horizon_steps, len(policies), len(scenario.realizations)
     turns = _Turns(network)
-    shares, defining, _, member, decisions, start = _stacked(policies, splits)
+    diverges = [policies[0].node_index[n] for n in turns.diverge_nodes]
     # every policy's next link (or -1) at each diverge, a row per event column
-    routes = decisions[:, [policies[0].node_index[n] for n in turns.diverge_nodes]]
+    shares, defining, _, member, routes, start = _stacked(policies, splits, diverges)
+    matched, changed = _route_steps(policies, routes, start)
     reals = scenario.realizations
     engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
     cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
-    info = np.zeros((len(reals), len(network.links), T + 1))
-    running = np.zeros((len(reals),) + defining.shape[:2])        # (R, K, R')
+    info = np.empty((R, len(links), T + 1))
+    running = np.zeros((R,) + defining.shape[:2])  # (R, K, R')
+    known = 1                                      # info and running hold steps < known
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            if t >= 2:
-                running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
-            event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
-            engine.set_route(routes[start[:, t] + event])
+            if matched[t]:
+                _fill_columns(engine, info, known, t)
+                running = _add_distances(running, defining, info, known, t)
+                known = t
+                event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
+                engine.set_route(routes[start[:, t] + event])
+            elif changed[t]:
+                fixed = routes[start[:, t]]              # under each policy's first event
+                engine.set_route(np.broadcast_to(fixed, (R,) + fixed.shape))
             engine.step(t, cum)
-            info[..., t] = engine.travel_time_column(t)
+        _fill_columns(engine, info, known, T + 1)
     engine.check_monotone()
     if stats is not None:
-        stats.time_loops += len(reals)
-        stats.node_updates += len(reals) * T * turns.n_nodes
+        stats.time_loops += R
+        stats.node_updates += R * T * turns.n_nodes
     info[..., 0] = info[..., 1]
     if diagnostics is not None:
-        for r in range(len(reals)):
+        for r in range(R):
             diagnostics.append(engine.result(r, info[r], cum[r]))
     return TravelTimeDistribution(
         info, scenario.dt, scenario.probabilities, links, network.origin, network.destination,
     )
+
+
+def _route_steps(policies: Sequence[Policy], routes: np.ndarray, start: np.ndarray) -> tuple:
+    """Where ``po_ltm`` must match: the steps at which some policy's route
+    differs between the step's events, and the steps whose route table may
+    differ from the step before's; (T+1,) bool each."""
+    level = np.concatenate([p.tree.level_of for p in policies])
+    owner = np.repeat(np.arange(len(policies)), [p.tree.level_of.size for p in policies])
+    differs = np.any(routes != routes[start[owner, level]], axis=1)
+    T = start.shape[1] - 1
+    matched = np.bincount(level, differs, T + 1) > 0
+    fixed = routes[start]
+    changed = np.ones(T + 1, dtype=bool)
+    changed[2:] = np.any(fixed[:, 2:] != fixed[:, 1:-1], axis=(0, 2)) | matched[1:-1]
+    return matched, changed
+
+
+# Bytes of temporaries one chunk of deferred columns or distances may take.
+_CHUNK_BYTES = 1 << 18
+
+
+def _fill_columns(engine: _Engine, info: np.ndarray, a: int, b: int) -> None:
+    """Travel-time columns of steps a..b-1 into ``info`` (R, L, T+1), each
+    matched on the curves as recorded up to its own step."""
+    n = max(1, _CHUNK_BYTES // (64 * engine.L * engine.R))   # about eight temporaries
+    for lo in range(a, b, n):
+        hi = min(lo + n, b)
+        info[..., lo:hi] = engine.columns(lo, hi)
+
+
+def _add_distances(running: np.ndarray, defining: np.ndarray, info: np.ndarray,
+                   a: int, b: int) -> np.ndarray:
+    """``running`` (R, K, R') plus the ``step_distances`` between the
+    defining values (K, R', L, T+1) and the travel times ``info`` (R, L, T+1)
+    of steps a..b-1, added a step at a time in step order."""
+    n = max(1, _CHUNK_BYTES // (16 * running.size * info.shape[1]))
+    for lo in range(a, b, n):
+        hi = min(lo + n, b)
+        steps = step_distances(defining[..., lo:hi].transpose(3, 0, 1, 2)[:, None],
+                               info[..., lo:hi].transpose(2, 0, 1)[:, :, None, None])
+        running = np.cumsum(np.concatenate([running[None], steps]), axis=0)[-1]
+    return running
 
 
 def single_route_pathset(network: Network, horizon_steps: int) -> PathSet:

@@ -261,7 +261,10 @@ def shaped(value: Any, shape: str, what: str) -> Any:
 
 def _normalized_merge_priorities(links: tuple[LinkSpec, ...]) -> tuple[LinkSpec, ...]:
     # Default 0.5 per incoming link at a merge; a single given value fixes
-    # its partner to the complement, two given values are normalized.
+    # its partner to the complement, two given values are normalized.  The
+    # second link always gets 1 - first, so normalizing again, as a network
+    # rebuilt from its own links or its serialized document is, changes
+    # nothing: first + (1 - first) rounds to exactly 1.
     by_head: dict[NodeId, list[int]] = {}
     for i, l in enumerate(links):
         by_head.setdefault(l.to_node, []).append(i)
@@ -271,17 +274,12 @@ def _normalized_merge_priorities(links: tuple[LinkSpec, ...]) -> tuple[LinkSpec,
             continue
         a, b = (out[i] for i in idxs)
         pa, pb = a.merge_priority, b.merge_priority
-        if pa is None and pb is None:
-            pa = pb = 0.5
-        elif pa is None:
-            pa = 1.0 - pb
-        elif pb is None:
-            pb = 1.0 - pa
-        else:
-            total = pa + pb
-            pa, pb = pa / total, pb / total
+        if pa is None:
+            pa = 0.5 if pb is None else 1.0 - pb
+        elif pb is not None:
+            pa = pa / (pa + pb)
         out[idxs[0]] = replace(a, merge_priority=pa)
-        out[idxs[1]] = replace(b, merge_priority=pb)
+        out[idxs[1]] = replace(b, merge_priority=1.0 - pa)
     return tuple(out)
 
 

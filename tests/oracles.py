@@ -14,7 +14,10 @@ built only on ``pick_nearest``; the per-event loops
 one state at a time through ``Policy``'s lookups; and ``dot_spi_loop``
 with ``horizon_shortest_loop``, the backward induction one state, link
 and realization at a time that ``policy._run_dot_spi`` solves in blocks
-of steps for a stack of policies.
+of steps for a stack of policies.  ``po_ltm_every_step`` is the former
+chronological loop on the program's own engine: it matches every policy's
+event and records every travel-time column at every step, where
+``loading.po_ltm`` matches only where a route can change.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from sdta import (
     TravelTimeDistribution,
     prefix_distances,
 )
+from sdta.events import nearest_events, step_distances
 from sdta.kernels import XI
+from sdta.loading import _Engine, _policy_links, _prefix_demand, _stacked, _Turns
 from sdta.network import node_sort_key
 from sdta.policy import Policy, _sentinel
 
@@ -418,3 +423,32 @@ def translate_walk(policies, splits, info: np.ndarray, dt: float) -> PathSet:
     mu = np.vstack([accumulators[p] for p in paths])
     mu[:, 0] = mu[:, 1]
     return PathSet(paths, mu)
+
+
+def po_ltm_every_step(network, policies, splits, scenario, strict_origin=False):
+    """Chronological policy loading that matches every (realization,
+    policy) row to an event at every step and appends every step's
+    travel-time column right after the step.  Returns the travel times (R,
+    L, T+1) and one ``LoadResult`` per realization, as ``po_ltm``'s values
+    and diagnostics."""
+    _policy_links(network, policies, splits, scenario)
+    T = scenario.horizon_steps
+    turns = _Turns(network)
+    shares, defining, _, member, decisions, start = _stacked(policies, splits)
+    routes = decisions[:, [policies[0].node_index[n] for n in turns.diverge_nodes]]
+    reals = scenario.realizations
+    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, len(policies),
+                     strict_origin)
+    cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
+    info = np.zeros((len(reals), len(network.links), T + 1))
+    running = np.zeros((len(reals),) + defining.shape[:2])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            if t >= 2:
+                running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
+            event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
+            engine.set_route(routes[start[:, t] + event])
+            engine.step(t, cum)
+            info[..., t] = engine.travel_time_column(t)
+    info[..., 0] = info[..., 1]
+    return info, [engine.result(r, info[r], cum[r]) for r in range(len(reals))]

@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_fixture
 from sdta import (
@@ -162,3 +164,23 @@ def test_a_hand_built_network_gets_the_parsed_merge_priorities(given, want):
         assert (by_id["3-5"], by_id["4-5"]) == pytest.approx(want)
         assert _Turns(net).merge_share == pytest.approx(want)
     assert built.links == parsed.links
+
+
+priorities = st.one_of(st.none(), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(priorities, priorities)
+def test_merge_priorities_survive_a_round_trip(pa, pb):
+    # normalizing a normalized pair changes nothing, so a network read back
+    # from its own document, or rebuilt from its own links, loads the same
+    doc = yaml.safe_load(read_fixture("diamond.net.yaml"))
+    for link, p in zip([l for l in doc["links"] if l["to"] == 5], (pa, pb)):
+        if p is not None:
+            link["priority"] = p
+    net = parse_network(doc)
+    again = parse_network(serialize_network(net))
+    rebuilt = Network(net.nodes, net.links, net.origin, net.destination)
+    for other in (again, rebuilt):
+        assert [l.merge_priority for l in other.links] == [l.merge_priority for l in net.links]
+        assert _Turns(other).merge_share.tolist() == _Turns(net).merge_share.tolist()
