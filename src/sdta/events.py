@@ -315,6 +315,9 @@ def parse_ttd(document: Document) -> TravelTimeDistribution:
     raw = shaped(document.get("realizations"), "a list", "realizations")
     if steps < 1:
         raise ValidationError("steps must be at least 1")
+    ids = {link.id for link in links}
+    if len(ids) != len(links):
+        raise ValidationError("duplicate link ids")
     if destination not in reachable(links, origin):
         raise ValidationError(
             f"destination {destination} cannot be reached from origin {origin}"
@@ -327,6 +330,9 @@ def parse_ttd(document: Document) -> TravelTimeDistribution:
         probs.append(parse_number(item.get("prob"), f"realization {r} prob"))
         times = shaped(item.get("times"), "a mapping", f"realization {r} times")
         times = {str(link_id): series for link_id, series in times.items()}
+        unknown = sorted(times.keys() - ids)
+        if unknown:
+            raise ValidationError(f"realization {r}: times for unknown link {unknown[0]}")
         for i, link in enumerate(links):
             if link.id not in times:
                 raise ParseError(f"realization {r}: missing times for link {link.id}")

@@ -292,11 +292,6 @@ class _Engine:
         self._frac = np.stack([frac_f, frac_w], axis=1)[..., None]
         self._rows = self.C.reshape(-1, self.R)
         self._next = self._rows[S:]
-        # the aggregate upstream curves with steps last, as far as copied
-        # (see ``_upstream``), and the flat index of each curve's sample 0
-        self._up_last = np.zeros((self.R, L, T + 1))
-        self._up_copied = 0
-        self._up_start = (np.arange(self.R)[:, None] * L + np.arange(L))[..., None] * (T + 1)
 
     def _buffers(self) -> None:
         """Every temporary of a step, and its views."""
@@ -435,56 +430,50 @@ class _Engine:
         self._turn_rows.take(self._feed, 0, self._fed, "clip")
         np.add(self.C[t - 1], np.add(first, second, out=first), out=self.C[t])
 
-    def _upstream(self, b: int) -> np.ndarray:
-        """The aggregate upstream curves up to step b-1 with steps last, (R,
-        L, b), as matching reads whole curves.  Each step is copied out of
-        ``C`` the first time it is read, by then moved and final."""
-        done = self._up_copied
-        if b > done:
-            self._up_last[..., done:b] = self.C[done:b, 0, 0].transpose(2, 1, 0)
-            self._up_copied = b
-        return self._up_last[..., :b]
+    def columns(self, a: int, b: int, last: int | None = None) -> np.ndarray:
+        """Travel time of the vehicle leaving each link at steps a..b-1, as
+        ``link_travel_time`` matches it on the aggregate curves recorded up
+        to the column's own step, or up to ``last`` for every column; (R, L,
+        b - a).
 
-    def columns(self, a: int, b: int) -> np.ndarray:
-        """Travel time of the vehicle leaving each link at steps a..b-1,
-        each matched on the curves as recorded up to its own step; (R, L,
-        b - a).  A single step compares its exit counts with every recorded
-        upstream sample.  More steps search the samples up to b-1 instead:
-        an upstream count never decreases, so the samples below an exit
-        count are a prefix of the curve, and capping their number at the
-        column's own step counts the same."""
-        up, exits = self._upstream(b), self.C[a:b, 0, 1].transpose(2, 1, 0)
+        ``j`` counts the upstream samples below each exit count.  One column
+        compares its exit counts with every recorded sample.  More columns
+        search each curve up to b-1 once: an upstream count never
+        decreases, so the samples below an exit count are a prefix of the
+        curve, and capping their number at the column's own step counts the
+        same.  Entry time interpolates between samples j-1 and j, which
+        lands exactly on sample j's time when it hits the count.  A count a
+        rounding error above the last entry (j past the cap) enters at or
+        after the cap, so its time floors at one step as in ``inverse``.  No
+        exits, or exits further above the recorded entries, fall back to
+        free flow.
+        """
+        up, exits = self.C[:b, 0, 0], self.C[a:b, 0, 1]        # (b, L, R), (b - a, L, R)
         if b - a == 1:
-            j = np.add.reduce(up < exits, axis=2, dtype=np.int64)[..., None]
+            j = np.add.reduce(up < exits, axis=0, dtype=np.int64)
         else:
-            j = self._below(up, exits)
-        steps = np.arange(a, b)
-        return _matched_times(self._up_last, self._up_start, exits, j, steps, steps, self.dt,
-                              self.free_time)
-
-    def _below(self, up: np.ndarray, exits: np.ndarray) -> np.ndarray:
-        """How many samples of each upstream curve (R, L, b) lie below each
-        of ``exits`` (R, L, n), by binary search."""
-        j = np.empty(exits.shape, dtype=np.int64)
-        for r in range(self.R):
+            j = np.empty(exits.shape, dtype=np.int64)
             for i in range(self.L):
-                j[r, i] = np.searchsorted(up[r, i], exits[r, i])
-        return j
-
-    def travel_time_column(self, t: int) -> np.ndarray:
-        """Travel time of the vehicle leaving each link at step t, matched
-        on the curves as recorded up to step t; (R, L)."""
-        return self.columns(t, t + 1)[..., 0]
+                for r in range(self.R):
+                    j[:, i, r] = up[:, i, r].searchsorted(exits[:, i, r])
+        steps = np.arange(a, b)[:, None, None]
+        cap = steps if last is None else last
+        # C[s, 0, 0, i, r] is element s * size + first[i, r] of the flat counts
+        flat, size = self.C.reshape(-1), self.C[0].size
+        first = np.arange(self.L * self.R).reshape(self.L, self.R)
+        j = np.minimum(j, cap)
+        at = first + j * size
+        lo, hi = flat.take(at - size), flat.take(at)
+        entry = (j - 1 + (exits - lo) / (hi - lo)) * self.dt
+        travel = np.maximum(steps * self.dt - entry, self.dt)
+        reached = (exits > 0.0) & (exits <= flat.take(first + cap * size) + 1e-12)
+        return np.where(reached, travel, self.free_time).transpose(2, 1, 0)
 
     def travel_times(self) -> np.ndarray:
         """Every travel time column at once, matched on the finished curves;
         (R, L, T+1) with column 0 mirroring column 1."""
-        T = self.T
-        up, exits = self._upstream(T + 1), self.C[1:, 0, 1].transpose(2, 1, 0)
-        out = np.empty((self.R, self.L, T + 1))
-        out[..., 1:] = _matched_times(self._up_last, self._up_start, exits,
-                                      self._below(up, exits), np.arange(1, T + 1), T, self.dt,
-                                      self.free_time)
+        out = np.empty((self.R, self.L, self.T + 1))
+        out[..., 1:] = self.columns(1, self.T + 1, self.T)
         out[..., 0] = out[..., 1]
         return out
 
@@ -512,29 +501,6 @@ class _Engine:
             exited=float(self.down[r, self.turns.dest_in, -1]),
             demand_total=float(demand[-1]),
         )
-
-
-def _matched_times(curves, start, exits, j, t, last, dt, fallback):
-    """Vectorised ``link_travel_time`` by count matching.
-
-    ``exits`` are downstream counts at steps ``t`` (broadcast over links),
-    ``start`` the flat index in ``curves`` of sample 0 of each exit's
-    upstream curve, ``last`` the last upstream sample recorded, and ``j``
-    the first upstream sample at or above each count (``last + 1`` when
-    none is).  Entry time interpolates between samples j-1 and j, which
-    lands exactly on sample j's time when it hits the count.  A count a
-    rounding error above the last entry (j = last + 1) enters at or after
-    ``last``, so its time floors at one step as in ``inverse``.  No exits,
-    or exits further above the recorded entries, fall back to free flow.
-    """
-    flat = curves.reshape(-1)
-    j = np.minimum(j, last)
-    at = start + j
-    lo, hi = flat.take(at - 1), flat.take(at)
-    entry = (j - 1 + (exits - lo) / (hi - lo)) * dt
-    travel = np.maximum(t * dt - entry, dt)
-    reached = (exits > 0.0) & (exits <= flat.take(start + last) + 1e-12)
-    return np.where(reached, travel, fallback)
 
 
 def path_ltm(
@@ -786,9 +752,8 @@ def po_ltm(
     Events are matched only at steps where some policy's diverge decisions
     differ between the step's events; at every other step any event gives
     the same route table.  So a step's travel times and their distances are
-    computed when a later match reads them, a bounded chunk of steps at a
-    time and still summed in step order, and the remaining travel times
-    after the last step.
+    computed when a later match reads them, the distances still summed in
+    step order, and the remaining travel times after the last step.
     """
     links = _policy_links(network, policies, splits, scenario)
     T, K, R = scenario.horizon_steps, len(policies), len(scenario.realizations)
@@ -807,8 +772,7 @@ def po_ltm(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if matched[t]:
-                _fill_columns(engine, info, known, t)
-                running = _add_distances(running, defining, info, known, t)
+                running = _catch_up(engine, running, defining, info, known, t)
                 known = t
                 event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
                 engine.set_route(routes[start[:, t] + event])
@@ -816,7 +780,7 @@ def po_ltm(
                 fixed = routes[start[:, t]]              # under each policy's first event
                 engine.set_route(np.broadcast_to(fixed, (R,) + fixed.shape))
             engine.step(t, cum)
-        _fill_columns(engine, info, known, T + 1)
+        info[..., known:] = engine.columns(known, T + 1)
     engine.check_monotone()
     if stats is not None:
         stats.time_loops += R
@@ -845,24 +809,17 @@ def _route_steps(policies: Sequence[Policy], routes: np.ndarray, start: np.ndarr
     return matched, changed
 
 
-# Bytes of temporaries one chunk of deferred columns or distances may take.
+# Bytes of temporaries one chunk of distances may take.
 _CHUNK_BYTES = 1 << 18
 
 
-def _fill_columns(engine: _Engine, info: np.ndarray, a: int, b: int) -> None:
-    """Travel-time columns of steps a..b-1 into ``info`` (R, L, T+1), each
-    matched on the curves as recorded up to its own step."""
-    n = max(1, _CHUNK_BYTES // (64 * engine.L * engine.R))   # about eight temporaries
-    for lo in range(a, b, n):
-        hi = min(lo + n, b)
-        info[..., lo:hi] = engine.columns(lo, hi)
-
-
-def _add_distances(running: np.ndarray, defining: np.ndarray, info: np.ndarray,
-                   a: int, b: int) -> np.ndarray:
-    """``running`` (R, K, R') plus the ``step_distances`` between the
-    defining values (K, R', L, T+1) and the travel times ``info`` (R, L, T+1)
-    of steps a..b-1, added a step at a time in step order."""
+def _catch_up(engine: _Engine, running: np.ndarray, defining: np.ndarray, info: np.ndarray,
+              a: int, b: int) -> np.ndarray:
+    """The travel-time columns of steps a..b-1 into ``info`` (R, L, T+1),
+    each matched on the curves as recorded up to its own step, and
+    ``running`` (R, K, R') plus their ``step_distances`` to the defining
+    values (K, R', L, T+1), added a step at a time in step order."""
+    info[..., a:b] = engine.columns(a, b)
     n = max(1, _CHUNK_BYTES // (16 * running.size * info.shape[1]))
     for lo in range(a, b, n):
         hi = min(lo + n, b)

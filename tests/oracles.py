@@ -449,6 +449,6 @@ def po_ltm_every_step(network, policies, splits, scenario, strict_origin=False):
             event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
             engine.set_route(routes[start[:, t] + event])
             engine.step(t, cum)
-            info[..., t] = engine.travel_time_column(t)
+            info[..., t] = engine.columns(t, t + 1)[..., 0]
     info[..., 0] = info[..., 1]
     return info, [engine.result(r, info[r], cum[r]) for r in range(len(reals))]

@@ -354,6 +354,18 @@ def test_unreachable_ttd_destination_is_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.count("cannot be reached") == 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["links"].append(dict(doc["links"][0])), "duplicate link ids"),
+    (lambda doc: doc["realizations"][1]["times"].update(zz=[1, 1, 1, 1]),
+     "realization 1: times for unknown link zz"),
+], ids=["a-link-listed-twice", "times-of-an-unlisted-link"])
+def test_ttd_links_and_times_that_disagree_are_exit_3(tmp_path, capsys, edit, message):
+    out = tmp_path / "out"
+    assert run("policies", _edited(tmp_path, "parallel3.ttd.yaml", edit), "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault, code", [("missing", 2), ("invalid", 3)])
 @pytest.mark.parametrize("command", ["solve", "load", "bench", "sweep", "policies"])
 def test_failed_command_leaves_no_out_directory(tmp_path, command, fault, code):

@@ -112,6 +112,8 @@ def test_engine_matches_scalar_kernels(chain, data):
     network, capacities, by, T = chain
     K = by.shape[3]
     t = data.draw(st.integers(1, T))
+    a = data.draw(st.integers(1, T))
+    b = data.draw(st.integers(a + 1, T + 1))
     engine = _Engine(_Turns(network), capacities, DT, T, K, strict_origin=False)
     engine.curves[:, :, :, 1:, :] = by
     engine.curves[:, :, :, 0, :] = by.sum(axis=3)
@@ -132,17 +134,23 @@ def test_engine_matches_scalar_kernels(chain, data):
                     interp(state.up_by[k], query) - state.down_by[k].value_at(t - 1)
                 )
 
-    # travel times: one column after step t, and all columns at the end
+    # travel times: one column after step t, the columns of steps a..b-1
+    # each as recorded up to its own step, and all columns at the end
     engine.curves[:, :, :, 1:, :] = by
     engine.curves[:, :, :, 0, :] = agg
     with np.errstate(divide="ignore", invalid="ignore"):
-        column = engine.travel_time_column(t)
+        column = engine.columns(t, t + 1)[..., 0]
+        several = engine.columns(a, b)
         every = engine.travel_times()
     for r, capacity in enumerate(capacities):
         for i, link in enumerate(network.links):
             now = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
                                   by[r, 0, i], by[r, 1, i], t)
             assert column[r, i] == link_travel_time(now, t)
+            for s in range(a, b):
+                then = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
+                                       by[r, 0, i], by[r, 1, i], s)
+                assert several[r, i, s - a] == link_travel_time(then, s)
             final = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
                                     by[r, 0, i], by[r, 1, i], T)
             for s in range(1, T + 1):
@@ -166,7 +174,7 @@ def test_exit_counts_just_above_the_entries():
         engine.curves[0, 1, i, :] = np.minimum(up, 2.5)
         engine.curves[0, 1, i, :, T] = up[T] + excess
     with np.errstate(divide="ignore", invalid="ignore"):
-        (column,) = engine.travel_time_column(T)
+        (column,) = engine.columns(T, T + 1)[..., 0]
         (every,) = engine.travel_times()
     for i, link in enumerate(links):
         state = reference_state(link, capacity[link.id], engine.up[0, i], engine.down[0, i],
