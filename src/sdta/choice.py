@@ -39,6 +39,9 @@ class SplitSchedule:
             raise ValidationError("one label per split row required")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("split labels must be unique")
+        # NaN passes both comparisons below, and its sums would warn
+        if not np.all(np.isfinite(self.eta)):
+            raise ValidationError("splits must be finite")
         sums = self.eta[:, 1:].sum(axis=0)
         if np.any(self.eta < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValidationError("splits must be a distribution at every step")

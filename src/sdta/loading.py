@@ -34,7 +34,7 @@ from .kernels import (  # noqa: F401
 )
 from .network import Network, NodeKind, classify_node
 from .policy import Policy
-from .scenario import Scenario
+from .scenario import Realization, Scenario
 
 
 @dataclass
@@ -62,20 +62,12 @@ class PathSet:
             raise ValidationError("one usage row per path required")
         if len(set(self.paths)) != len(self.paths):
             raise ValidationError("paths must be unique")
+        # NaN passes both comparisons below, and its sums would warn
+        if not np.all(np.isfinite(self.mu)):
+            raise ValidationError("path usage must be finite")
         sums = self.mu[:, 1:].sum(axis=0)
         if np.any(self.mu < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValidationError("path usage must be a distribution at every step")
-
-    def validate_against(self, network: Network) -> None:
-        for path in self.paths:
-            node = network.origin
-            for link_id in path:
-                link = network.link(link_id)
-                if link.from_node != node:
-                    raise ValidationError(f"path {path} breaks at link {link_id}")
-                node = link.to_node
-            if node != network.destination:
-                raise ValidationError(f"path {path} does not end at the destination")
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,6 @@ class _Turns:
         self.merge_share = np.array(priority + [1.0 - p for p in priority])
         self.share = np.r_[np.ones(ns), self.merge_share][:, None]
         self.diverge_target = dst[self.diverge]
-        self.diverge_in = [i for i, _ in diverge_a]
         self.diverge_of_turn = np.r_[np.arange(d), np.arange(d)]
         # feed[first | second, side, link]: turns into a link's upstream end
         # (side 0) and out of its downstream end (side 1).  M names the
@@ -179,12 +170,25 @@ class _Turns:
 
     def path_routes(self, paths: Sequence[Sequence[str]], network: Network) -> np.ndarray:
         """Route table (path, diverge) -> index of the link each path takes
-        after the diverge's in-link, or -1 where the path does not pass."""
-        index = network.link_index
-        route = np.full((len(paths), len(self.diverge_in)), -1, dtype=np.int64)
+        at the diverge, or -1 where the path does not pass.  A row holds one
+        link per diverge, so each path must run from the origin to the
+        destination and pass no node twice."""
+        diverge = {node: d for d, node in enumerate(self.diverge_nodes)}
+        route = np.full((len(paths), len(diverge)), -1, dtype=np.int64)
         for k, path in enumerate(paths):
-            successor = {index[a]: index[b] for a, b in zip(path, path[1:])}
-            route[k] = [successor.get(in_link, -1) for in_link in self.diverge_in]
+            node, passed = network.origin, set()
+            for link_id in path:
+                link = network.link(link_id)
+                if link.from_node != node:
+                    raise ValidationError(f"path {path} breaks at link {link_id}")
+                if node in passed:
+                    raise ValidationError(f"path {path} passes node {node} twice")
+                passed.add(node)
+                if node in diverge:
+                    route[k, diverge[node]] = network.link_index[link_id]
+                node = link.to_node
+            if node != network.destination:
+                raise ValidationError(f"path {path} does not end at the destination")
         return route
 
 
@@ -244,12 +248,11 @@ class _Engine:
         links = turns.links
         self.free_time = np.maximum([l.free_flow_time for l in links], dt)[:, None]
         self.storage = np.array([l.storage for l in links])[:, None]
-        self.capacity = np.empty((T + 1, L, R))
-        steps = np.arange(T + 1)
-        for r, capacity in enumerate(capacities):
-            for i, link in enumerate(links):
-                series = capacity[link.id]
-                self.capacity[:, i, r] = series[np.minimum(steps, series.size - 1)]
+        try:
+            series = [[capacity[link.id] for link in links] for capacity in capacities]
+        except KeyError as missing:
+            raise ValidationError(f"no capacity series for link {missing.args[0]}") from None
+        self.capacity = np.array(series, dtype=float).transpose(2, 1, 0).copy()
         self._lookback_tables()
         self._buffers()
 
@@ -513,19 +516,17 @@ def path_ltm(
     strict_origin: bool = False,
     stats: LoaderStats | None = None,
 ) -> LoadResult:
-    """Load fixed paths through one realization's demand and capacity."""
-    engine, cum, travel = _load_paths(
-        network, [pathset], [demand], [capacity], dt, strict_origin, stats
-    )
+    """Load fixed paths through one realization's demand and capacity,
+    checked as a one-realization ``Scenario``."""
+    scenario = Scenario(dt, demand.size - 1, (Realization(1.0, demand, capacity),))
+    engine, cum, travel = _load_paths(network, [pathset], scenario, strict_origin, stats)
     return engine.result(0, travel[0], cum[0])
 
 
 def _load_paths(
     network: Network,
     pathsets: Sequence[PathSet],
-    demands: Sequence[np.ndarray],
-    capacities: Sequence[dict[str, np.ndarray]],
-    dt: float,
+    scenario: Scenario,
     strict_origin: bool,
     stats: LoaderStats | None,
 ) -> tuple[_Engine, np.ndarray, np.ndarray]:
@@ -537,23 +538,20 @@ def _load_paths(
     as the largest: the extra ones, at the end, carry no demand and take no
     route.  Zeros appended to a commodity-order sum leave it unchanged.
     """
-    T = demands[0].size - 1
-    for pathset in pathsets:
-        pathset.validate_against(network)
+    T, reals = scenario.horizon_steps, scenario.realizations
+    K = max(len(pathset.paths) for pathset in pathsets)
+    turns = _Turns(network)
+    cum = np.zeros((len(pathsets), K, T + 1))
+    route = np.full((len(pathsets), K, len(turns.diverge_nodes)), -1, dtype=np.int64)
+    for r, (pathset, real) in enumerate(zip(pathsets, reals)):
         if pathset.mu.shape[1] != T + 1:
             raise ValidationError(
                 f"path usage covers {pathset.mu.shape[1] - 1} steps, the demand {T}"
             )
-    K = max(len(pathset.paths) for pathset in pathsets)
-    turns = _Turns(network)
-    engine = _Engine(turns, capacities, dt, T, K, strict_origin)
-    cum = np.zeros((len(pathsets), K, T + 1))
-    route = np.full((len(pathsets), K, len(turns.diverge_in)), -1, dtype=np.int64)
-    for r, (pathset, demand) in enumerate(zip(pathsets, demands)):
         k = len(pathset.paths)
-        cum[r, :k] = _prefix_demand(demand, pathset.mu)
         route[r, :k] = turns.path_routes(pathset.paths, network)
-
+        cum[r, :k] = _prefix_demand(real.demand, pathset.mu)
+    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
     engine.set_route(route)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
@@ -691,19 +689,15 @@ def iterative_loading(
         raise ValidationError("need at least one inner iteration")
     links = _policy_links(network, policies, splits, scenario)
     free = free_flow_distribution(network, scenario)
-    dt, reals = scenario.dt, scenario.realizations
-    demands = [real.demand for real in reals]
-    capacities = [real.capacity for real in reals]
+    dt, R = scenario.dt, scenario.n_realizations
 
-    current = np.repeat(free.values[:1], len(reals), axis=0)
+    current = np.repeat(free.values[:1], R, axis=0)
     stacked = _stacked(policies, splits)
     for l in range(1, k_inner + 1):
         pathsets = [_translate_info(policies, splits, info, dt, stacked) for info in current]
         if stats is not None:
-            stats.translations += len(reals)
-        _, _, travel = _load_paths(
-            network, pathsets, demands, capacities, dt, strict_origin, stats
-        )
+            stats.translations += R
+        _, _, travel = _load_paths(network, pathsets, scenario, strict_origin, stats)
         alpha = 1.0 / l
         current = (1.0 - alpha) * current + alpha * travel
     return TravelTimeDistribution(

@@ -5,6 +5,7 @@ from oracles import random_small_ttd
 from sdta import (
     ChoiceParams,
     DegenerateChoiceSet,
+    SplitSchedule,
     ValidationError,
     expected_origin_time,
     generate_policies,
@@ -19,6 +20,17 @@ def test_kappa_must_be_negative():
         ChoiceParams(kappa=0.0)
     with pytest.raises(ValidationError):
         ChoiceParams(kappa=0.2)
+
+
+def test_non_finite_splits_are_rejected():
+    # NaN rows sum to NaN, which no tolerance comparison flags
+    eta = np.full((2, 81), 0.5)
+    eta[:, 40:] = np.nan
+    with pytest.raises(ValidationError, match="splits must be finite"):
+        SplitSchedule(eta, ("a", "b"))
+    eta[:, 40:] = [[np.inf], [-np.inf]]
+    with pytest.raises(ValidationError, match="splits must be finite"):
+        SplitSchedule(eta, ("a", "b"))
 
 
 def test_utilities_shape_and_order(parallel3):

@@ -18,6 +18,7 @@ from sdta import (
     Network,
     PathSet,
     Realization,
+    Scenario,
     ValidationError,
     free_flow_distribution,
     generate_policies,
@@ -370,7 +371,9 @@ def sf_loads(draw):
 @given(sf_loads(), st.booleans())
 def test_batched_path_loading_matches_path_ltm(loads, strict):
     pathsets, demand, capacity = zip(*loads)
-    engine, cum, travel = _load_paths(SF, pathsets, demand, capacity, DT, strict, None)
+    scenario = Scenario(DT, SF_STEPS, tuple(Realization(1.0 / len(loads), d, c)
+                                            for d, c in zip(demand, capacity)))
+    engine, cum, travel = _load_paths(SF, pathsets, scenario, strict, None)
     for r, (pathset, d, c) in enumerate(loads):
         alone = path_ltm(SF, pathset, d, c, DT, strict_origin=strict)
         batched = engine.result(r, travel[r], cum[r, : len(pathset.paths)])
@@ -381,8 +384,8 @@ def test_monotone_check_catches_a_corrupt_curve():
     real = BASE.realizations[0]
     mu = np.full((2, STEPS + 1), 0.5)
     pathset = PathSet(ROUTES, mu)
-    engine, _, _ = _load_paths(DIAMOND, [pathset] * 3, [real.demand] * 3,
-                               [real.capacity] * 3, DT, False, None)
+    scenario = Scenario(DT, STEPS, (Realization(1.0 / 3, real.demand, real.capacity),) * 3)
+    engine, _, _ = _load_paths(DIAMOND, [pathset] * 3, scenario, False, None)
     engine.check_monotone()
     link = DIAMOND.link_index["2-4"]
     assert engine.up[1, link, -1] > 0.0

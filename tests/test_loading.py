@@ -8,8 +8,11 @@ import yaml
 from conftest import load_network, load_scenario, read_fixture
 from sdta import (
     ChoiceParams,
+    LinkSpec,
     LoaderStats,
+    Network,
     PathSet,
+    Realization,
     ValidationError,
     free_flow_distribution,
     generate_policies,
@@ -23,7 +26,7 @@ from sdta import (
     splits_for,
     with_realizations,
 )
-from sdta.loading import _stacked, _translate_info
+from sdta.loading import _stacked, _translate_info, _Turns
 
 KAPPA = ChoiceParams()
 
@@ -40,13 +43,13 @@ def test_single_route_pathset(twolinks):
     assert ps.paths == (("1-2", "2-3"),)
     assert ps.mu.shape == (1, scn.horizon_steps + 1)
     assert np.all(ps.mu == 1.0)
-    ps.validate_against(net)
+    _Turns(net).path_routes(ps.paths, net)
 
 
 def test_pathset_validation(twolinks):
     net, _ = twolinks
     with pytest.raises(ValidationError):
-        PathSet((("1-2", "nope"),), np.ones((1, 11))).validate_against(net)
+        _Turns(net).path_routes(PathSet((("1-2", "nope"),), np.ones((1, 11))).paths, net)
     with pytest.raises(ValidationError):
         PathSet((("1-2", "2-3"),), np.ones((2, 11)))
 
@@ -188,7 +191,7 @@ def test_translate_produces_valid_paths(twolinks):
     policies, tree = generate_policies(ff, (1.5,))
     splits = splits_for(policies, tree, KAPPA)
     ps = _translate_info(policies, splits, ff.values[0], ff.dt)
-    ps.validate_against(net)
+    _Turns(net).path_routes(ps.paths, net)
     sums = ps.mu[:, 1:].sum(axis=0)
     assert sums == pytest.approx(np.ones(scn.horizon_steps))
 
@@ -309,3 +312,70 @@ def test_path_usage_must_cover_the_demand_horizon(twolinks):
     real = scn.realizations[0]
     with pytest.raises(ValidationError, match="path usage covers 40 steps, the demand 60"):
         path_ltm(net, single_route_pathset(net, 40), real.demand, real.capacity, scn.dt)
+
+
+# --- path loading checks its inputs as the policy loaders do --------------
+
+@pytest.mark.parametrize("case, match", [
+    ("nan demand", "demand must be finite"),
+    ("negative demand", "demand must be non-negative"),
+    ("nan capacity", "capacity of link 2-3 must be finite"),
+    ("zero capacity", "capacity of link 2-3 must stay positive"),
+    ("short capacity", "need 41 samples"),
+])
+def test_path_ltm_rejects_what_a_scenario_rejects(twolinks, case, match):
+    net, _ = twolinks
+    scn = load_scenario("twolinks", net, steps=40)
+    real = scn.realizations[0]
+    demand, series = real.demand.copy(), real.capacity["2-3"].copy()
+    value, target = case.split()
+    if value == "short":
+        series = series[:30]
+    else:
+        (demand if target == "demand" else series)[20] = {
+            "nan": np.nan, "negative": -1.0, "zero": 0.0}[value]
+    capacity = dict(real.capacity, **{"2-3": series})
+    with pytest.raises(ValidationError, match=match):
+        path_ltm(net, single_route_pathset(net, 40), demand, capacity, scn.dt)
+
+
+@pytest.mark.parametrize("loader", ["path_ltm", "po_ltm", "iterative_loading"])
+def test_loaders_reject_a_capacity_mapping_without_a_network_link(diamond, loader):
+    # every realization lacks the same link, so the scenario's own check
+    # that they agree on the link set passes
+    net, _ = diamond
+    scn = load_scenario("diamond", net, steps=40)
+    policies, splits = policies_and_splits(net, scn)
+    scn = dataclasses.replace(scn, realizations=tuple(
+        Realization(r.probability, r.demand, {k: v for k, v in r.capacity.items() if k != "2-4"})
+        for r in scn.realizations
+    ))
+    real = scn.realizations[0]
+    pathset = PathSet((("1-2", "2-3", "3-5", "5-6", "6-7"),), np.ones((1, 41)))
+    with pytest.raises(ValidationError, match="no capacity series for link 2-4"):
+        if loader == "path_ltm":
+            path_ltm(net, pathset, real.demand, real.capacity, scn.dt)
+        elif loader == "po_ltm":
+            po_ltm(net, policies, splits, scn)
+        else:
+            iterative_loading(net, policies, splits, scn, k_inner=1)
+
+
+def test_a_path_through_a_node_twice_is_rejected():
+    # a route row holds one link per diverge: this path leaves node 2 by a,
+    # later by c, and as one row it would load as o, m, c
+    links = tuple(LinkSpec(link, a, b, 100.0, 10.0, 5.0, 0.45) for link, a, b in (
+        ("o", 0, 1), ("m", 1, 2), ("a", 2, 3), ("b", 3, 1), ("c", 2, 4)))
+    net = Network((0, 1, 2, 3, 4), links, 0, 4)
+    pathset = PathSet((("o", "m", "a", "b", "m", "c"),), np.ones((1, 21)))
+    capacity = {link.id: np.ones(21) for link in links}
+    with pytest.raises(ValidationError, match="passes node 1 twice"):
+        path_ltm(net, pathset, np.r_[0.0, np.ones(20)], capacity, 1.0)
+
+
+def test_non_finite_path_usage_is_rejected():
+    mu = np.full((2, 81), 0.5)
+    mu[:, 40:] = np.nan
+    routes = (("1-2", "2-3", "3-5", "5-6", "6-7"), ("1-2", "2-4", "4-5", "5-6", "6-7"))
+    with pytest.raises(ValidationError, match="path usage must be finite"):
+        PathSet(routes, mu)
