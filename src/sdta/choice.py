@@ -24,6 +24,22 @@ class ChoiceParams:
             raise ValidationError("kappa must be finite and negative")
 
 
+def check_fractions(table: np.ndarray, keys: Sequence, what: str, key: str) -> None:
+    """The rule of a per-step fraction table (W, T+1): one row per ``key``,
+    keys unique, entries finite, and a distribution over the rows at every
+    step 1..T.  ``what`` names the table in the errors."""
+    if table.ndim != 2 or table.shape[0] != len(keys):
+        raise ValidationError(f"one row per {key} required")
+    if len(set(keys)) != len(keys):
+        raise ValidationError(f"{key}s must be unique")
+    # NaN passes both comparisons below, and its sums would warn
+    if not np.all(np.isfinite(table)):
+        raise ValidationError(f"{what} must be finite")
+    sums = table[:, 1:].sum(axis=0)
+    if np.any(table < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
+        raise ValidationError(f"{what} must be a distribution at every step")
+
+
 @dataclass(frozen=True)
 class SplitSchedule:
     """Per-policy fractions by departure step; rows sum to one.
@@ -35,16 +51,7 @@ class SplitSchedule:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.eta.ndim != 2 or self.eta.shape[0] != len(self.labels):
-            raise ValidationError("one label per split row required")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("split labels must be unique")
-        # NaN passes both comparisons below, and its sums would warn
-        if not np.all(np.isfinite(self.eta)):
-            raise ValidationError("splits must be finite")
-        sums = self.eta[:, 1:].sum(axis=0)
-        if np.any(self.eta < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValidationError("splits must be a distribution at every step")
+        check_fractions(self.eta, self.labels, "splits", "split label")
 
     @property
     def n_policies(self) -> int:

@@ -22,7 +22,7 @@ from .events import (
     prefix_distances,
     step_distances,
 )
-from .choice import SplitSchedule
+from .choice import SplitSchedule, check_fractions
 # The scalar kernels stay the reference the engine is tested against; they
 # are re-exported here so code that looks them up on this module still can.
 from .kernels import (  # noqa: F401
@@ -58,16 +58,7 @@ class PathSet:
     mu: np.ndarray
 
     def __post_init__(self):
-        if self.mu.ndim != 2 or self.mu.shape[0] != len(self.paths):
-            raise ValidationError("one usage row per path required")
-        if len(set(self.paths)) != len(self.paths):
-            raise ValidationError("paths must be unique")
-        # NaN passes both comparisons below, and its sums would warn
-        if not np.all(np.isfinite(self.mu)):
-            raise ValidationError("path usage must be finite")
-        sums = self.mu[:, 1:].sum(axis=0)
-        if np.any(self.mu < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValidationError("path usage must be a distribution at every step")
+        check_fractions(self.mu, self.paths, "path usage", "path")
 
 
 @dataclass(frozen=True)
@@ -80,13 +71,6 @@ class LoadResult:
     released: float
     exited: float
     demand_total: float
-
-
-def _prefix_demand(demand: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Cumulative per-commodity demand: rows (K,), columns (T+1,)."""
-    out = np.zeros((shares.shape[0], demand.size))
-    np.cumsum(demand[np.newaxis, 1:] * shares[:, 1:], axis=1, out=out[:, 1:])
-    return out
 
 
 class _Turns:
@@ -226,32 +210,39 @@ class _Engine:
     same flows.  Realizations share nothing but the network: reductions run
     along the commodity axis only, so each realization's numbers are those
     of a batch of one.
+
+    The engine loads a ``Scenario``: its grid, each realization's capacity
+    series and demand, which ``shares[r]`` (K_r, T+1) splits over
+    realization r's commodities.  ``demand[step, commodity, realization]``
+    is the cumulative demand.  Realizations with fewer commodities than the
+    largest K are padded at the end with commodities that carry no demand:
+    zeros appended to a commodity-order sum leave it unchanged.
     """
 
-    def __init__(
-        self,
-        turns: _Turns,
-        capacities: Sequence[dict[str, np.ndarray]],
-        dt: float,
-        horizon_steps: int,
-        n_commodities: int,
-        strict_origin: bool,
-    ):
-        L, K, T, R = turns.L, n_commodities, horizon_steps, len(capacities)
+    def __init__(self, turns: _Turns, scenario: Scenario, shares: Sequence[np.ndarray],
+                 strict_origin: bool):
+        reals, T, dt = scenario.realizations, scenario.horizon_steps, scenario.dt
+        self.k_of = [mu.shape[0] for mu in shares]
+        L, K, R = turns.L, max(self.k_of), len(reals)
         self.turns = turns
         self.L, self.K, self.T, self.R, self.dt = L, K, T, R, dt
-        self.strict_origin = strict_origin
         self.C = np.zeros((T + 1, K + 1, 2, L, R))
         self.curves = self.C.transpose(4, 2, 3, 1, 0)
         self.up, self.down = self.curves[:, 0, :, 0], self.curves[:, 1, :, 0]
         self.up_by, self.down_by = self.curves[:, 0, :, 1:], self.curves[:, 1, :, 1:]
+        self.demand = np.zeros((T + 1, K, R))
+        for r, (real, mu) in enumerate(zip(reals, shares, strict=True)):
+            if mu.shape[1] != T + 1:
+                raise ValidationError(f"path usage covers {mu.shape[1] - 1} steps, the demand {T}")
+            np.cumsum(real.demand[1:] * mu[:, 1:], axis=1, out=self.demand[1:, :len(mu), r].T)
+        # what the origin counts as served of each commodity by a step: with
+        # a strict origin all its demand then (no queue carries over), else
+        # what the origin link has taken in
+        self._served = self.demand if strict_origin else self.C[:, 1:, 0, turns.origin_link]
         links = turns.links
         self.free_time = np.maximum([l.free_flow_time for l in links], dt)[:, None]
         self.storage = np.array([l.storage for l in links])[:, None]
-        try:
-            series = [[capacity[link.id] for link in links] for capacity in capacities]
-        except KeyError as missing:
-            raise ValidationError(f"no capacity series for link {missing.args[0]}") from None
+        series = [[real.capacity[link.id] for link in links] for real in reals]
         self.capacity = np.array(series, dtype=float).transpose(2, 1, 0).copy()
         self._lookback_tables()
         self._buffers()
@@ -323,7 +314,6 @@ class _Engine:
         self._widx = self._wsrc.copy()
         self._widx[:, tu.diverge] = self._wflat.size - 1   # no route until set_route
         self._w = np.empty((K, M, R))             # weights per turn
-        self._w_by = list(self._w)
         self._e = np.empty((tu.ends.size, R))
         self._own, self._other, self._rec = self._e[: 3 * n].reshape(3, n, R)
         self._div_rec, self._div_other = self._e[3 * n:].reshape(2, M - n, R)
@@ -378,29 +368,19 @@ class _Engine:
         self._widx[:, tu.diverge] = np.where(keep, self._wsrc[:, tu.diverge],
                                              self._wflat.size - 1)
 
-    def step(self, t: int, cum_demand: np.ndarray) -> None:
-        """Move step t's flows; ``cum_demand`` is (R, K, T+1)."""
+    def step(self, t: int) -> None:
+        """Move step t's flows."""
         tu = self.turns
         self._boundary(t)
-        if self.strict_origin:
-            np.subtract(cum_demand[..., t].T, cum_demand[..., t - 1].T, out=self._avail)
-        else:
-            np.subtract(cum_demand[..., t].T, self.C[t - 1, 1:, 0, tu.origin_link],
-                        out=self._avail)
+        np.subtract(self.demand[t], self._served[t - 1], out=self._avail)
         np.maximum(self._weights, _ZERO, out=self._weights)
 
         # commodity weights per turn: the source's gaps (the origin's
         # demand), zero at a diverge for commodities routed the other way;
-        # their total summed in commodity order
+        # their total summed in commodity order, a row at a time
         w, total = self._w, self._total
         self._wflat.take(self._widx, None, w, "clip")
-        first, *others = self._w_by
-        if others:
-            np.add(first, others[0], out=total)
-            for w_k in others[1:]:
-                np.add(total, w_k, out=total)
-        else:
-            np.copyto(total, first)
+        np.add.reduce(w, axis=0, out=total)
 
         # Daganzo: everything when it fits, else median(claim, leftover,
         # priority share), as `transition_merge`
@@ -488,12 +468,13 @@ class _Engine:
             if np.any(np.diff(self.C[..., r], axis=0) < -1e-9):
                 raise ValidationError("cumulative counts cannot decrease")
 
-    def result(self, r: int, travel_times: np.ndarray, cum_demand: np.ndarray) -> LoadResult:
-        """Realization r's diagnostics; ``cum_demand`` holds its own
-        commodities only, so the demand totals sum exactly those rows."""
+    def result(self, r: int, travel_times: np.ndarray) -> LoadResult:
+        """Realization r's diagnostics.  Its demand totals sum its own
+        commodity rows only: numpy sums 8 or more rows pairwise, so padding
+        rows would change their last digits."""
         released = self.up[r, self.turns.origin_link]
-        # per-step totals summed exactly as `cum_demand[:, t].sum()`
-        demand = np.ascontiguousarray(cum_demand.T).sum(axis=1)
+        # each step's total summed along a contiguous row of its commodities
+        demand = np.ascontiguousarray(self.demand[:, : self.k_of[r], r]).sum(axis=1)
         backlog = np.maximum(0.0, demand - released)
         backlog[0] = 0.0
         return LoadResult(
@@ -519,8 +500,9 @@ def path_ltm(
     """Load fixed paths through one realization's demand and capacity,
     checked as a one-realization ``Scenario``."""
     scenario = Scenario(dt, demand.size - 1, (Realization(1.0, demand, capacity),))
-    engine, cum, travel = _load_paths(network, [pathset], scenario, strict_origin, stats)
-    return engine.result(0, travel[0], cum[0])
+    _check_capacity(network, scenario)
+    engine, travel = _load_paths(network, [pathset], scenario, strict_origin, stats)
+    return engine.result(0, travel[0])
 
 
 def _load_paths(
@@ -529,39 +511,26 @@ def _load_paths(
     scenario: Scenario,
     strict_origin: bool,
     stats: LoaderStats | None,
-) -> tuple[_Engine, np.ndarray, np.ndarray]:
+) -> tuple[_Engine, np.ndarray]:
     """Load each realization's paths in one batched sweep; returns the
-    engine, the cumulative demand (R, K, T+1) and the travel times
-    (R, L, T+1).
-
-    Path sets differ in size, so every realization gets as many commodities
-    as the largest: the extra ones, at the end, carry no demand and take no
-    route.  Zeros appended to a commodity-order sum leave it unchanged.
+    engine and the travel times (R, L, T+1).  The engine pads the smaller
+    path sets with commodities that carry no demand; they take no route.
     """
-    T, reals = scenario.horizon_steps, scenario.realizations
-    K = max(len(pathset.paths) for pathset in pathsets)
     turns = _Turns(network)
-    cum = np.zeros((len(pathsets), K, T + 1))
-    route = np.full((len(pathsets), K, len(turns.diverge_nodes)), -1, dtype=np.int64)
-    for r, (pathset, real) in enumerate(zip(pathsets, reals)):
-        if pathset.mu.shape[1] != T + 1:
-            raise ValidationError(
-                f"path usage covers {pathset.mu.shape[1] - 1} steps, the demand {T}"
-            )
-        k = len(pathset.paths)
-        route[r, :k] = turns.path_routes(pathset.paths, network)
-        cum[r, :k] = _prefix_demand(real.demand, pathset.mu)
-    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
+    engine = _Engine(turns, scenario, [pathset.mu for pathset in pathsets], strict_origin)
+    route = np.full((engine.R, engine.K, len(turns.diverge_nodes)), -1, dtype=np.int64)
+    for r, pathset in enumerate(pathsets):
+        route[r, : len(pathset.paths)] = turns.path_routes(pathset.paths, network)
     engine.set_route(route)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            engine.step(t, cum)
+        for t in range(1, engine.T + 1):
+            engine.step(t)
         travel = engine.travel_times()
     engine.check_monotone()
     if stats is not None:
-        stats.time_loops += len(pathsets)
-        stats.node_updates += len(pathsets) * T * turns.n_nodes
-    return engine, cum, travel
+        stats.time_loops += engine.R
+        stats.node_updates += engine.R * engine.T * turns.n_nodes
+    return engine, travel
 
 
 def _translate_info(
@@ -697,7 +666,8 @@ def iterative_loading(
         pathsets = [_translate_info(policies, splits, info, dt, stacked) for info in current]
         if stats is not None:
             stats.translations += R
-        _, _, travel = _load_paths(network, pathsets, scenario, strict_origin, stats)
+        # the travel times only, so this round's engine is freed before the next
+        travel = _load_paths(network, pathsets, scenario, strict_origin, stats)[1]
         alpha = 1.0 / l
         current = (1.0 - alpha) * current + alpha * travel
     return TravelTimeDistribution(
@@ -710,7 +680,9 @@ def _policy_links(
 ) -> tuple:
     """The network's links, on which every policy must be defined, in the
     network's order, since its decisions are link indices, over as many
-    realizations.  Policies and splits must cover the scenario's horizon."""
+    realizations.  Policies and splits must cover the scenario's horizon,
+    and the scenario every network link."""
+    _check_capacity(network, scenario)
     links = links_of(network)
     if any(p.defining_ttd.links != links for p in policies):
         raise ValidationError("policies must be defined on the network's links, in its order")
@@ -720,6 +692,15 @@ def _policy_links(
     if splits.horizon_steps != T or any(p.horizon_steps != T for p in policies):
         raise ValidationError(f"policies and splits must cover the scenario's {T} steps")
     return links
+
+
+def _check_capacity(network: Network, scenario: Scenario) -> None:
+    """Every network link has a capacity series.  One realization shows it:
+    a ``Scenario``'s realizations all cover the same links."""
+    capacity = scenario.realizations[0].capacity
+    for link in network.links:
+        if link.id not in capacity:
+            raise ValidationError(f"no capacity series for link {link.id}")
 
 
 def po_ltm(
@@ -750,15 +731,13 @@ def po_ltm(
     step order, and the remaining travel times after the last step.
     """
     links = _policy_links(network, policies, splits, scenario)
-    T, K, R = scenario.horizon_steps, len(policies), len(scenario.realizations)
+    T, R = scenario.horizon_steps, scenario.n_realizations
     turns = _Turns(network)
     diverges = [policies[0].node_index[n] for n in turns.diverge_nodes]
     # every policy's next link (or -1) at each diverge, a row per event column
     shares, defining, _, member, routes, start = _stacked(policies, splits, diverges)
     matched, changed = _route_steps(policies, routes, start)
-    reals = scenario.realizations
-    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, K, strict_origin)
-    cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
+    engine = _Engine(turns, scenario, [shares] * R, strict_origin)
     info = np.empty((R, len(links), T + 1))
     running = np.zeros((R,) + defining.shape[:2])  # (R, K, R')
     known = 1                                      # info and running hold steps < known
@@ -773,7 +752,7 @@ def po_ltm(
             elif changed[t]:
                 fixed = routes[start[:, t]]              # under each policy's first event
                 engine.set_route(np.broadcast_to(fixed, (R,) + fixed.shape))
-            engine.step(t, cum)
+            engine.step(t)
         info[..., known:] = engine.columns(known, T + 1)
     engine.check_monotone()
     if stats is not None:
@@ -782,7 +761,7 @@ def po_ltm(
     info[..., 0] = info[..., 1]
     if diagnostics is not None:
         for r in range(R):
-            diagnostics.append(engine.result(r, info[r], cum[r]))
+            diagnostics.append(engine.result(r, info[r]))
     return TravelTimeDistribution(
         info, scenario.dt, scenario.probabilities, links, network.origin, network.destination,
     )

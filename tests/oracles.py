@@ -36,7 +36,7 @@ from sdta import (
 )
 from sdta.events import nearest_events, step_distances
 from sdta.kernels import XI
-from sdta.loading import _Engine, _policy_links, _prefix_demand, _stacked, _Turns
+from sdta.loading import _Engine, _policy_links, _stacked, _Turns
 from sdta.network import node_sort_key
 from sdta.policy import Policy, _sentinel
 
@@ -436,19 +436,17 @@ def po_ltm_every_step(network, policies, splits, scenario, strict_origin=False):
     turns = _Turns(network)
     shares, defining, _, member, decisions, start = _stacked(policies, splits)
     routes = decisions[:, [policies[0].node_index[n] for n in turns.diverge_nodes]]
-    reals = scenario.realizations
-    engine = _Engine(turns, [real.capacity for real in reals], scenario.dt, T, len(policies),
-                     strict_origin)
-    cum = np.stack([_prefix_demand(real.demand, shares) for real in reals])
-    info = np.zeros((len(reals), len(network.links), T + 1))
-    running = np.zeros((len(reals),) + defining.shape[:2])
+    R = scenario.n_realizations
+    engine = _Engine(turns, scenario, [shares] * R, strict_origin)
+    info = np.zeros((R, len(network.links), T + 1))
+    running = np.zeros((R,) + defining.shape[:2])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if t >= 2:
                 running += step_distances(defining[..., t - 1], info[:, None, None, :, t - 1])
             event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
             engine.set_route(routes[start[:, t] + event])
-            engine.step(t, cum)
+            engine.step(t)
             info[..., t] = engine.columns(t, t + 1)[..., 0]
     info[..., 0] = info[..., 1]
-    return info, [engine.result(r, info[r], cum[r]) for r in range(len(reals))]
+    return info, [engine.result(r, info[r]) for r in range(R)]

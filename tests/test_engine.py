@@ -34,7 +34,7 @@ from sdta.kernels import (
     receiving_flow,
     sending_flow,
 )
-from sdta.loading import _Engine, _load_paths, _prefix_demand, _Turns
+from sdta.loading import _Engine, _load_paths, _Turns
 
 DT = 1.0
 
@@ -96,6 +96,15 @@ def loaded_chains(draw):
     return network, capacities, by, T
 
 
+def unloaded(network, capacities, T, K):
+    """An engine over ``capacities``, one realization each, with K
+    commodities and no demand."""
+    scenario = Scenario(DT, T, tuple(Realization(1.0 / len(capacities), np.zeros(T + 1), c)
+                                     for c in capacities))
+    return _Engine(_Turns(network), scenario, [np.full((K, T + 1), 1.0 / K)] * len(capacities),
+                   strict_origin=False)
+
+
 def reference_state(link, capacity, up, down, up_by, down_by, upto):
     state = LinkState(link, capacity, DT)
     state.up = CumulativeCurve(DT, up[: upto + 1])
@@ -115,7 +124,7 @@ def test_engine_matches_scalar_kernels(chain, data):
     t = data.draw(st.integers(1, T))
     a = data.draw(st.integers(1, T))
     b = data.draw(st.integers(a + 1, T + 1))
-    engine = _Engine(_Turns(network), capacities, DT, T, K, strict_origin=False)
+    engine = unloaded(network, capacities, T, K)
     engine.curves[:, :, :, 1:, :] = by
     engine.curves[:, :, :, 0, :] = by.sum(axis=3)
     # step t sees the samples recorded before it
@@ -168,7 +177,7 @@ def test_exit_counts_just_above_the_entries():
     network = Network((0, 1, 2, 3), links, 0, 3)
     T = 4
     capacity = {l.id: np.ones(T + 1) for l in links}
-    engine = _Engine(_Turns(network), [capacity], DT, T, 1, strict_origin=False)
+    engine = unloaded(network, [capacity], T, 1)
     up = np.array([0.0, 1.0, 2.0, 2.0, 3.0])
     for i, excess in enumerate((0.0, 5e-13, 1e-9)):
         engine.curves[0, 0, i, :] = up
@@ -224,12 +233,11 @@ def test_path_loading_conserves_with_monotone_curves(demand, scale, share, stric
     # the same run, step by step, keeps every curve non-decreasing and no
     # link ever discharges more than it took in
     turns = _Turns(DIAMOND)
-    engine = _Engine(turns, [real.capacity], DT, STEPS, 2, strict)
-    cum = _prefix_demand(real.demand, mu)[np.newaxis]
+    engine = _Engine(turns, Scenario(DT, STEPS, (real,)), [mu], strict)
     engine.set_route(turns.path_routes(ROUTES, DIAMOND)[np.newaxis])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # as the loaders
         for t in range(1, STEPS + 1):
-            engine.step(t, cum)
+            engine.step(t)
     assert np.all(np.diff(engine.curves, axis=-1) >= 0.0)
     assert np.all(engine.down <= engine.up + 1e-9)
     assert np.allclose(engine.curves[:, :, :, 0], engine.curves[:, :, :, 1:].sum(axis=3))
@@ -373,10 +381,10 @@ def test_batched_path_loading_matches_path_ltm(loads, strict):
     pathsets, demand, capacity = zip(*loads)
     scenario = Scenario(DT, SF_STEPS, tuple(Realization(1.0 / len(loads), d, c)
                                             for d, c in zip(demand, capacity)))
-    engine, cum, travel = _load_paths(SF, pathsets, scenario, strict, None)
+    engine, travel = _load_paths(SF, pathsets, scenario, strict, None)
     for r, (pathset, d, c) in enumerate(loads):
         alone = path_ltm(SF, pathset, d, c, DT, strict_origin=strict)
-        batched = engine.result(r, travel[r], cum[r, : len(pathset.paths)])
+        batched = engine.result(r, travel[r])
         assert_same_result(batched, alone)
 
 
@@ -385,7 +393,7 @@ def test_monotone_check_catches_a_corrupt_curve():
     mu = np.full((2, STEPS + 1), 0.5)
     pathset = PathSet(ROUTES, mu)
     scenario = Scenario(DT, STEPS, (Realization(1.0 / 3, real.demand, real.capacity),) * 3)
-    engine, _, _ = _load_paths(DIAMOND, [pathset] * 3, scenario, False, None)
+    engine, _ = _load_paths(DIAMOND, [pathset] * 3, scenario, False, None)
     engine.check_monotone()
     link = DIAMOND.link_index["2-4"]
     assert engine.up[1, link, -1] > 0.0

@@ -26,6 +26,7 @@ from sdta import (
     splits_for,
     with_realizations,
 )
+import sdta.loading as loading
 from sdta.loading import _stacked, _translate_info, _Turns
 
 KAPPA = ChoiceParams()
@@ -340,9 +341,11 @@ def test_path_ltm_rejects_what_a_scenario_rejects(twolinks, case, match):
 
 
 @pytest.mark.parametrize("loader", ["path_ltm", "po_ltm", "iterative_loading"])
-def test_loaders_reject_a_capacity_mapping_without_a_network_link(diamond, loader):
+def test_loaders_reject_a_capacity_mapping_without_a_network_link(diamond, loader,
+                                                                 monkeypatch):
     # every realization lacks the same link, so the scenario's own check
-    # that they agree on the link set passes
+    # that they agree on the link set passes; the loaders reject it before
+    # they stack or translate the policy set
     net, _ = diamond
     scn = load_scenario("diamond", net, steps=40)
     policies, splits = policies_and_splits(net, scn)
@@ -352,6 +355,9 @@ def test_loaders_reject_a_capacity_mapping_without_a_network_link(diamond, loade
     ))
     real = scn.realizations[0]
     pathset = PathSet((("1-2", "2-3", "3-5", "5-6", "6-7"),), np.ones((1, 41)))
+    ran = []
+    for name in ("_stacked", "_translate_info"):
+        monkeypatch.setattr(loading, name, lambda *args, name=name: ran.append(name))
     with pytest.raises(ValidationError, match="no capacity series for link 2-4"):
         if loader == "path_ltm":
             path_ltm(net, pathset, real.demand, real.capacity, scn.dt)
@@ -359,6 +365,7 @@ def test_loaders_reject_a_capacity_mapping_without_a_network_link(diamond, loade
             po_ltm(net, policies, splits, scn)
         else:
             iterative_loading(net, policies, splits, scn, k_inner=1)
+    assert ran == []
 
 
 def test_a_path_through_a_node_twice_is_rejected():
