@@ -217,6 +217,10 @@ class _Engine:
     is the cumulative demand.  Realizations with fewer commodities than the
     largest K are padded at the end with commodities that carry no demand:
     zeros appended to a commodity-order sum leave it unchanged.
+
+    The load's travel times live in ``travel`` (R, L, T+1): ``fill`` adds
+    the columns of the steps moved so far, each once, and ``finish`` ends a
+    sweep.
     """
 
     def __init__(self, turns: _Turns, scenario: Scenario, shares: Sequence[np.ndarray],
@@ -231,6 +235,8 @@ class _Engine:
         self.up, self.down = self.curves[:, 0, :, 0], self.curves[:, 1, :, 0]
         self.up_by, self.down_by = self.curves[:, 0, :, 1:], self.curves[:, 1, :, 1:]
         self.demand = np.zeros((T + 1, K, R))
+        self.travel = np.empty((R, L, T + 1))
+        self.filled = 1                            # travel holds the columns < filled
         for r, (real, mu) in enumerate(zip(reals, shares, strict=True)):
             if mu.shape[1] != T + 1:
                 raise ValidationError(f"path usage covers {mu.shape[1] - 1} steps, the demand {T}")
@@ -413,11 +419,10 @@ class _Engine:
         self._turn_rows.take(self._feed, 0, self._fed, "clip")
         np.add(self.C[t - 1], np.add(first, second, out=first), out=self.C[t])
 
-    def columns(self, a: int, b: int, last: int | None = None) -> np.ndarray:
+    def columns(self, a: int, b: int) -> np.ndarray:
         """Travel time of the vehicle leaving each link at steps a..b-1, as
         ``link_travel_time`` matches it on the aggregate curves recorded up
-        to the column's own step, or up to ``last`` for every column; (R, L,
-        b - a).
+        to the column's own step; (R, L, b - a).
 
         ``j`` counts the upstream samples below each exit count.  One column
         compares its exit counts with every recorded sample.  More columns
@@ -440,25 +445,33 @@ class _Engine:
                 for r in range(self.R):
                     j[:, i, r] = up[:, i, r].searchsorted(exits[:, i, r])
         steps = np.arange(a, b)[:, None, None]
-        cap = steps if last is None else last
         # C[s, 0, 0, i, r] is element s * size + first[i, r] of the flat counts
         flat, size = self.C.reshape(-1), self.C[0].size
         first = np.arange(self.L * self.R).reshape(self.L, self.R)
-        j = np.minimum(j, cap)
+        j = np.minimum(j, steps)
         at = first + j * size
         lo, hi = flat.take(at - size), flat.take(at)
         entry = (j - 1 + (exits - lo) / (hi - lo)) * self.dt
         travel = np.maximum(steps * self.dt - entry, self.dt)
-        reached = (exits > 0.0) & (exits <= flat.take(first + cap * size) + 1e-12)
+        reached = (exits > 0.0) & (exits <= flat.take(first + steps * size) + 1e-12)
         return np.where(reached, travel, self.free_time).transpose(2, 1, 0)
 
-    def travel_times(self) -> np.ndarray:
-        """Every travel time column at once, matched on the finished curves;
-        (R, L, T+1) with column 0 mirroring column 1."""
-        out = np.empty((self.R, self.L, self.T + 1))
-        out[..., 1:] = self.columns(1, self.T + 1, self.T)
-        out[..., 0] = out[..., 1]
-        return out
+    def fill(self, b: int) -> None:
+        """The travel time columns of the steps from ``filled`` to b-1, which
+        must have been moved, into ``travel``."""
+        a, self.filled = self.filled, b
+        self.travel[..., a:b] = self.columns(a, b)
+
+    def finish(self, stats: LoaderStats | None) -> None:
+        """End a sweep over all T steps: the remaining travel time columns,
+        column 0 mirroring column 1, the curves checked and the sweep
+        counted into ``stats``."""
+        self.fill(self.T + 1)
+        self.travel[..., 0] = self.travel[..., 1]
+        self.check_monotone()
+        if stats is not None:
+            stats.time_loops += self.R
+            stats.node_updates += self.R * self.T * self.turns.n_nodes
 
     def check_monotone(self) -> None:
         """Node rules never move a negative flow; a decreasing curve means
@@ -468,17 +481,17 @@ class _Engine:
             if np.any(np.diff(self.C[..., r], axis=0) < -1e-9):
                 raise ValidationError("cumulative counts cannot decrease")
 
-    def result(self, r: int, travel_times: np.ndarray) -> LoadResult:
-        """Realization r's diagnostics.  Its demand totals sum its own
-        commodity rows only: numpy sums 8 or more rows pairwise, so padding
-        rows would change their last digits."""
+    def result(self, r: int) -> LoadResult:
+        """Realization r's travel times and diagnostics.  Its demand totals
+        sum its own commodity rows only: numpy sums 8 or more rows pairwise,
+        so padding rows would change their last digits."""
         released = self.up[r, self.turns.origin_link]
         # each step's total summed along a contiguous row of its commodities
         demand = np.ascontiguousarray(self.demand[:, : self.k_of[r], r]).sum(axis=1)
         backlog = np.maximum(0.0, demand - released)
         backlog[0] = 0.0
         return LoadResult(
-            travel_times=travel_times,
+            travel_times=self.travel[r],
             origin_backlog=backlog,
             vehicles_in_network=np.cumsum(self.up[r] - self.down[r], axis=0)[-1],
             released=float(released[-1]),
@@ -501,8 +514,7 @@ def path_ltm(
     checked as a one-realization ``Scenario``."""
     scenario = Scenario(dt, demand.size - 1, (Realization(1.0, demand, capacity),))
     _check_capacity(network, scenario)
-    engine, travel = _load_paths(network, [pathset], scenario, strict_origin, stats)
-    return engine.result(0, travel[0])
+    return _load_paths(network, [pathset], scenario, strict_origin, stats).result(0)
 
 
 def _load_paths(
@@ -511,10 +523,10 @@ def _load_paths(
     scenario: Scenario,
     strict_origin: bool,
     stats: LoaderStats | None,
-) -> tuple[_Engine, np.ndarray]:
+) -> _Engine:
     """Load each realization's paths in one batched sweep; returns the
-    engine and the travel times (R, L, T+1).  The engine pads the smaller
-    path sets with commodities that carry no demand; they take no route.
+    finished engine.  The engine pads the smaller path sets with
+    commodities that carry no demand; they take no route.
     """
     turns = _Turns(network)
     engine = _Engine(turns, scenario, [pathset.mu for pathset in pathsets], strict_origin)
@@ -525,12 +537,8 @@ def _load_paths(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, engine.T + 1):
             engine.step(t)
-        travel = engine.travel_times()
-    engine.check_monotone()
-    if stats is not None:
-        stats.time_loops += engine.R
-        stats.node_updates += engine.R * engine.T * turns.n_nodes
-    return engine, travel
+        engine.finish(stats)
+    return engine
 
 
 def _translate_info(
@@ -656,23 +664,21 @@ def iterative_loading(
     """
     if k_inner < 1:
         raise ValidationError("need at least one inner iteration")
-    links = _policy_links(network, policies, splits, scenario)
+    _policy_links(network, policies, splits, scenario)
     free = free_flow_distribution(network, scenario)
     dt, R = scenario.dt, scenario.n_realizations
 
-    current = np.repeat(free.values[:1], R, axis=0)
+    current = free.values
     stacked = _stacked(policies, splits)
     for l in range(1, k_inner + 1):
         pathsets = [_translate_info(policies, splits, info, dt, stacked) for info in current]
         if stats is not None:
             stats.translations += R
         # the travel times only, so this round's engine is freed before the next
-        travel = _load_paths(network, pathsets, scenario, strict_origin, stats)[1]
+        travel = _load_paths(network, pathsets, scenario, strict_origin, stats).travel
         alpha = 1.0 / l
         current = (1.0 - alpha) * current + alpha * travel
-    return TravelTimeDistribution(
-        current, dt, scenario.probabilities, links, network.origin, network.destination,
-    )
+    return free.replace_values(current)
 
 
 def _policy_links(
@@ -728,7 +734,7 @@ def po_ltm(
     differ between the step's events; at every other step any event gives
     the same route table.  So a step's travel times and their distances are
     computed when a later match reads them, the distances still summed in
-    step order, and the remaining travel times after the last step.
+    step order, and the remaining travel times when the sweep ends.
     """
     links = _policy_links(network, policies, splits, scenario)
     T, R = scenario.horizon_steps, scenario.n_realizations
@@ -738,32 +744,24 @@ def po_ltm(
     shares, defining, _, member, routes, start = _stacked(policies, splits, diverges)
     matched, changed = _route_steps(policies, routes, start)
     engine = _Engine(turns, scenario, [shares] * R, strict_origin)
-    info = np.empty((R, len(links), T + 1))
-    running = np.zeros((R,) + defining.shape[:2])  # (R, K, R')
-    known = 1                                      # info and running hold steps < known
+    running = np.zeros((R,) + defining.shape[:2])  # (R, K, R'), over the filled steps
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if matched[t]:
-                running = _catch_up(engine, running, defining, info, known, t)
-                known = t
+                running = _catch_up(engine, running, defining, t)
                 event = nearest_events(np.broadcast_to(member[:, t], running.shape), running)
                 engine.set_route(routes[start[:, t] + event])
             elif changed[t]:
                 fixed = routes[start[:, t]]              # under each policy's first event
                 engine.set_route(np.broadcast_to(fixed, (R,) + fixed.shape))
             engine.step(t)
-        info[..., known:] = engine.columns(known, T + 1)
-    engine.check_monotone()
-    if stats is not None:
-        stats.time_loops += R
-        stats.node_updates += R * T * turns.n_nodes
-    info[..., 0] = info[..., 1]
+        engine.finish(stats)
     if diagnostics is not None:
-        for r in range(R):
-            diagnostics.append(engine.result(r, info[r]))
+        diagnostics.extend(engine.result(r) for r in range(R))
     return TravelTimeDistribution(
-        info, scenario.dt, scenario.probabilities, links, network.origin, network.destination,
+        engine.travel, scenario.dt, scenario.probabilities, links, network.origin,
+        network.destination,
     )
 
 
@@ -786,18 +784,18 @@ def _route_steps(policies: Sequence[Policy], routes: np.ndarray, start: np.ndarr
 _CHUNK_BYTES = 1 << 18
 
 
-def _catch_up(engine: _Engine, running: np.ndarray, defining: np.ndarray, info: np.ndarray,
-              a: int, b: int) -> np.ndarray:
-    """The travel-time columns of steps a..b-1 into ``info`` (R, L, T+1),
-    each matched on the curves as recorded up to its own step, and
-    ``running`` (R, K, R') plus their ``step_distances`` to the defining
-    values (K, R', L, T+1), added a step at a time in step order."""
-    info[..., a:b] = engine.columns(a, b)
-    n = max(1, _CHUNK_BYTES // (16 * running.size * info.shape[1]))
+def _catch_up(engine: _Engine, running: np.ndarray, defining: np.ndarray, b: int) -> np.ndarray:
+    """The engine's travel-time columns up to step b-1 filled, and
+    ``running`` (R, K, R') plus the ``step_distances`` of the new ones to
+    the defining values (K, R', L, T+1), added a step at a time in step
+    order."""
+    a, travel = engine.filled, engine.travel
+    engine.fill(b)
+    n = max(1, _CHUNK_BYTES // (16 * running.size * engine.L))
     for lo in range(a, b, n):
         hi = min(lo + n, b)
         steps = step_distances(defining[..., lo:hi].transpose(3, 0, 1, 2)[:, None],
-                               info[..., lo:hi].transpose(2, 0, 1)[:, :, None, None])
+                               travel[..., lo:hi].transpose(2, 0, 1)[:, :, None, None])
         running = np.cumsum(np.concatenate([running[None], steps]), axis=0)[-1]
     return running
 

@@ -319,7 +319,11 @@ def _inflated(ttd: TravelTimeDistribution, choice: np.ndarray, steps: np.ndarray
 def expected_origin_times(policy: Policy, tree: EventTree) -> np.ndarray:
     """Expected time to destination for an origin departure at every step,
     marginalized over that step's events; shape (T+1,), entry 0 unused.
-    ``bincount`` adds a step's events one by one, as a running sum does."""
+    ``bincount`` adds a step's events one by one, as a running sum does.
+    ``tree`` must be the policy's own, or partition the realizations alike:
+    its values have one column per event of that tree."""
+    if tree is not policy.tree and not np.array_equal(tree.member, policy.tree.member):
+        raise ValidationError(f"policy {policy.label} is defined on another event tree")
     origin = policy.values[policy.node_index[policy.defining_ttd.origin]]
     return np.bincount(tree.level_of, tree.masses * origin, tree.horizon_steps + 1)
 

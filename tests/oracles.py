@@ -438,7 +438,7 @@ def po_ltm_every_step(network, policies, splits, scenario, strict_origin=False):
     routes = decisions[:, [policies[0].node_index[n] for n in turns.diverge_nodes]]
     R = scenario.n_realizations
     engine = _Engine(turns, scenario, [shares] * R, strict_origin)
-    info = np.zeros((R, len(network.links), T + 1))
+    info = engine.travel
     running = np.zeros((R,) + defining.shape[:2])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
@@ -449,4 +449,4 @@ def po_ltm_every_step(network, policies, splits, scenario, strict_origin=False):
             engine.step(t)
             info[..., t] = engine.columns(t, t + 1)[..., 0]
     info[..., 0] = info[..., 1]
-    return info, [engine.result(r, info[r]) for r in range(R)]
+    return info, [engine.result(r) for r in range(R)]

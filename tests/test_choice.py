@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+from conftest import load_network, load_scenario
 from oracles import random_small_ttd
 from sdta import (
     ChoiceParams,
     DegenerateChoiceSet,
+    EventTree,
+    LinkRef,
+    Policy,
     SplitSchedule,
+    TravelTimeDistribution,
     ValidationError,
     expected_origin_time,
+    free_flow_distribution,
     generate_policies,
     logit_splits,
     splits_for,
     utilities,
 )
+from sdta.policy import expected_origin_times
 
 
 def test_kappa_must_be_negative():
@@ -117,3 +124,45 @@ def test_split_rows_follow_expected_time_gap(parallel3):
     assert e_sub > e_opt
     want = 1.0 / (1.0 + np.exp(-1.0 * (e_sub - e_opt)))
     assert splits.row("optimal")[t] == pytest.approx(want)
+
+
+def assert_rejects_tree(policies, tree):
+    with pytest.raises(ValidationError, match="another event tree"):
+        expected_origin_times(policies[0], tree)
+    with pytest.raises(ValidationError, match="another event tree"):
+        expected_origin_time(policies[0], tree, 1)
+    with pytest.raises(ValidationError, match="another event tree"):
+        utilities(policies, tree, ChoiceParams())
+    with pytest.raises(ValidationError, match="another event tree"):
+        splits_for(policies, tree, ChoiceParams())
+
+
+def test_utilities_are_read_on_the_policies_own_tree():
+    """A policy's values have one column per event of its own tree: read on
+    a tree with other columns they would not broadcast."""
+    network = load_network("diamond")
+    free = free_flow_distribution(network, load_scenario("diamond", network, steps=60))
+    values = free.values.copy()
+    values[1:, network.link_index["2-3"], 30:] *= [[2.0], [3.0]]
+    policies, tree = generate_policies(free, (1.5,))
+    _, other = generate_policies(free.replace_values(values), (1.5,))
+    assert other.masses.size != tree.masses.size
+    assert_rejects_tree(policies, other)
+
+
+def test_utilities_reject_a_tree_with_as_many_columns_but_other_events():
+    """Read on another partition with as many columns, a policy's values
+    would be weighed as other events' values, without an error."""
+    T = 3
+    ttd = TravelTimeDistribution(np.ones((2, 1, T + 1)), 1.0, np.array([0.5, 0.5]),
+                                 [LinkRef("a", 1, 2)], 1, 2, grid_rounded=True)
+    own = EventTree([[0, 0], [0, 0], [0, 1], [0, 1]], [0.5, 0.5])
+    other = EventTree([[0, 1], [0, 1], [0, 0], [0, 1]], [0.5, 0.5])
+    assert other.masses.size == own.masses.size
+    values = np.array([[2.0, 2.0, 4.0, 3.0, 2.0], [0.0] * 5])   # origin 1, then node 2
+    policy = Policy(None, ttd, own, values, np.array([[0] * 5, [-1] * 5]), (1, 2), 1e9)
+    assert expected_origin_times(policy, own).tolist() == [0.0, 2.0, 3.0, 2.5]
+    # a tree of the same partition is as good as the policy's own
+    alike = EventTree(own.member.copy(), own.probabilities)
+    assert expected_origin_times(policy, alike).tolist() == [0.0, 2.0, 3.0, 2.5]
+    assert_rejects_tree([policy], other)

@@ -6,6 +6,8 @@ travel time with array operations; ``sdta.kernels`` keeps the one-link
 scalar versions.  Both must agree exactly on any monotone curves.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,14 +146,14 @@ def test_engine_matches_scalar_kernels(chain, data):
                     interp(state.up_by[k], query) - state.down_by[k].value_at(t - 1)
                 )
 
-    # travel times: one column after step t, the columns of steps a..b-1
-    # each as recorded up to its own step, and all columns at the end
+    # travel times, each column as recorded up to its own step: one column
+    # after step t, the columns of steps a..b-1 and all columns at the end
     engine.curves[:, :, :, 1:, :] = by
     engine.curves[:, :, :, 0, :] = agg
     with np.errstate(divide="ignore", invalid="ignore"):
         column = engine.columns(t, t + 1)[..., 0]
         several = engine.columns(a, b)
-        every = engine.travel_times()
+        every = engine.columns(1, T + 1)
     for r, capacity in enumerate(capacities):
         for i, link in enumerate(network.links):
             now = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
@@ -161,10 +163,10 @@ def test_engine_matches_scalar_kernels(chain, data):
                 then = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
                                        by[r, 0, i], by[r, 1, i], s)
                 assert several[r, i, s - a] == link_travel_time(then, s)
-            final = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
-                                    by[r, 0, i], by[r, 1, i], T)
             for s in range(1, T + 1):
-                assert every[r, i, s] == link_travel_time(final, s)
+                then = reference_state(link, capacity[link.id], agg[r, 0, i], agg[r, 1, i],
+                                       by[r, 0, i], by[r, 1, i], s)
+                assert every[r, i, s - 1] == link_travel_time(then, s)
 
 
 def test_exit_counts_just_above_the_entries():
@@ -185,11 +187,11 @@ def test_exit_counts_just_above_the_entries():
         engine.curves[0, 1, i, :, T] = up[T] + excess
     with np.errstate(divide="ignore", invalid="ignore"):
         (column,) = engine.columns(T, T + 1)[..., 0]
-        (every,) = engine.travel_times()
+        (every,) = engine.columns(1, T + 1)
     for i, link in enumerate(links):
         state = reference_state(link, capacity[link.id], engine.up[0, i], engine.down[0, i],
                                 engine.up_by[0, i], engine.down_by[0, i], T)
-        assert column[i] == every[i, T] == link_travel_time(state, T)
+        assert column[i] == every[i, T - 1] == link_travel_time(state, T)
     assert column.tolist() == [DT * 1.0, DT, links[2].free_flow_time]
 
 
@@ -213,6 +215,41 @@ def realization(demand, scale):
     return Realization(1.0, demand, {k: v * scale for k, v in base.capacity.items()})
 
 
+def finished_engines(run):
+    """``run()``'s value and the engines whose sweeps it finished."""
+    engines, finish = [], _Engine.finish
+
+    def keep(engine, stats):
+        finish(engine, stats)
+        engines.append(engine)
+
+    with mock.patch.object(_Engine, "finish", keep):
+        return run(), engines
+
+
+def assert_as_on_finished_curves(engine):
+    """Each travel time column, matched on the curves recorded up to its
+    own step, is what ``link_travel_time`` matches on the finished curves,
+    unless the exit count has passed the step's entry count by more than
+    the matcher's 1e-12.  A diverge moves the sum of its commodities'
+    gaps, and the disaggregation guard ``XI`` keeps the commodities' exit
+    curves a little below the aggregate's as a link empties, so a link that
+    empties into a diverge can pass its entries by up to about 1e-8.  Its
+    column is then free flow, while on the finished curves the exit would
+    match a vehicle that enters later."""
+    T = engine.T
+    for r in range(engine.R):
+        for i, link in enumerate(engine.turns.links):
+            up, down = engine.up[r, i], engine.down[r, i]
+            final = reference_state(link, engine.capacity[:, i, r], up, down,
+                                    engine.up_by[r, i], engine.down_by[r, i], T)
+            for s in range(1, T + 1):
+                if down[s] <= up[s] + 1e-12:
+                    assert engine.travel[r, i, s] == link_travel_time(final, s)
+                else:
+                    assert engine.travel[r, i, s] == max(link.free_flow_time, DT)
+
+
 def assert_conserves(res):
     assert res.released == pytest.approx(res.exited + res.vehicles_in_network[-1], abs=1e-6)
     assert res.released + res.origin_backlog[-1] == pytest.approx(res.demand_total, abs=1e-6)
@@ -220,10 +257,14 @@ def assert_conserves(res):
     assert np.all(res.origin_backlog >= 0.0)
 
 
+# demand up to ten times the generated one
+demand_factors = st.sampled_from([1.0, 3.0, 10.0])
+
+
 @settings(max_examples=30, deadline=None)
-@given(demands, scales, st.floats(0.0, 1.0), st.booleans())
-def test_path_loading_conserves_with_monotone_curves(demand, scale, share, strict):
-    real = realization(demand, scale)
+@given(demands, demand_factors, scales, st.floats(0.0, 1.0), st.booleans())
+def test_path_loading_conserves_with_monotone_curves(demand, factor, scale, share, strict):
+    real = realization(demand * factor, scale)
     mu = np.vstack([np.full(STEPS + 1, share), np.full(STEPS + 1, 1.0 - share)])
     pathset = PathSet(ROUTES, mu)
     res = path_ltm(DIAMOND, pathset, real.demand, real.capacity, DT, strict_origin=strict)
@@ -241,20 +282,25 @@ def test_path_loading_conserves_with_monotone_curves(demand, scale, share, stric
     assert np.all(np.diff(engine.curves, axis=-1) >= 0.0)
     assert np.all(engine.down <= engine.up + 1e-9)
     assert np.allclose(engine.curves[:, :, :, 0], engine.curves[:, :, :, 1:].sum(axis=3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        engine.finish(None)
+    assert engine.travel[0].tobytes() == res.travel_times.tobytes()
+    assert_as_on_finished_curves(engine)
 
 
 @settings(max_examples=15, deadline=None)
-@given(demands, scales, st.booleans())
-def test_policy_loading_conserves(demand, scale, strict):
+@given(demands, demand_factors, scales, st.booleans())
+def test_policy_loading_conserves(demand, factor, scale, strict):
     scn = BASE.__class__(
-        dt=DT, horizon_steps=STEPS, realizations=(realization(demand, scale),),
+        dt=DT, horizon_steps=STEPS, realizations=(realization(demand * factor, scale),),
     )
     diagnostics = []
-    ttd = po_ltm(DIAMOND, POLICIES, SPLITS, scn, strict_origin=strict,
-                 diagnostics=diagnostics)
+    ttd, (engine,) = finished_engines(lambda: po_ltm(
+        DIAMOND, POLICIES, SPLITS, scn, strict_origin=strict, diagnostics=diagnostics))
     (res,) = diagnostics
     assert_conserves(res)
     assert np.all(ttd.values >= DT)
+    assert_as_on_finished_curves(engine)
 
 
 def assert_same_result(a, b):
@@ -381,11 +427,12 @@ def test_batched_path_loading_matches_path_ltm(loads, strict):
     pathsets, demand, capacity = zip(*loads)
     scenario = Scenario(DT, SF_STEPS, tuple(Realization(1.0 / len(loads), d, c)
                                             for d, c in zip(demand, capacity)))
-    engine, travel = _load_paths(SF, pathsets, scenario, strict, None)
+    engine = _load_paths(SF, pathsets, scenario, strict, None)
     for r, (pathset, d, c) in enumerate(loads):
         alone = path_ltm(SF, pathset, d, c, DT, strict_origin=strict)
-        batched = engine.result(r, travel[r])
+        batched = engine.result(r)
         assert_same_result(batched, alone)
+    assert_as_on_finished_curves(engine)
 
 
 def test_monotone_check_catches_a_corrupt_curve():
@@ -393,7 +440,7 @@ def test_monotone_check_catches_a_corrupt_curve():
     mu = np.full((2, STEPS + 1), 0.5)
     pathset = PathSet(ROUTES, mu)
     scenario = Scenario(DT, STEPS, (Realization(1.0 / 3, real.demand, real.capacity),) * 3)
-    engine, _ = _load_paths(DIAMOND, [pathset] * 3, scenario, False, None)
+    engine = _load_paths(DIAMOND, [pathset] * 3, scenario, False, None)
     engine.check_monotone()
     link = DIAMOND.link_index["2-4"]
     assert engine.up[1, link, -1] > 0.0
